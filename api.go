@@ -509,6 +509,15 @@ func WriteEnergyReport(w io.Writer, o *Observer) error {
 	return o.WriteEnergyJSON(w)
 }
 
+// fixedDelta is the threshold of the fixed-delta solvers: delta when
+// positive, else the graph's average edge weight, at least 1.
+func fixedDelta(delta Dist, g *Graph) Dist {
+	if delta > 0 {
+		return delta
+	}
+	return max(Dist(g.AvgWeight()), 1)
+}
+
 // Run executes one SSSP computation per cfg and returns its result and
 // instrumentation.
 func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
@@ -605,14 +614,6 @@ func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 		opt.Profile = prof
 	}
 
-	delta := cfg.Delta
-	if delta <= 0 {
-		delta = Dist(g.AvgWeight())
-		if delta < 1 {
-			delta = 1
-		}
-	}
-
 	var res sssp.Result
 	switch cfg.Algorithm {
 	case Dijkstra:
@@ -620,9 +621,9 @@ func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 	case BellmanFord:
 		res, err = sssp.BellmanFord(runG, runSrc, opt)
 	case DeltaStepping:
-		res, err = sssp.DeltaStepping(runG, runSrc, delta, opt)
+		res, err = sssp.DeltaStepping(runG, runSrc, fixedDelta(cfg.Delta, g), opt)
 	case NearFar:
-		res, err = sssp.NearFar(runG, runSrc, delta, opt)
+		res, err = sssp.NearFar(runG, runSrc, fixedDelta(cfg.Delta, g), opt)
 	case SelfTuning:
 		res, err = core.Solve(runG, runSrc, core.Config{P: cfg.SetPoint}, opt)
 	default:

@@ -140,6 +140,12 @@ func Run(dir string, checkers []Checker) ([]Finding, error) {
 	for _, p := range mod.Pkgs {
 		out = append(out, staleIgnoreFindings(p, checkers)...)
 	}
+	sortFindings(out)
+	return out, nil
+}
+
+// sortFindings orders findings by file, line, column and rule.
+func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -153,7 +159,6 @@ func Run(dir string, checkers []Checker) ([]Finding, error) {
 		}
 		return a.Rule < b.Rule
 	})
-	return out, nil
 }
 
 // StaleIgnoreRule is the pseudo-rule ID under which Run reports lint:ignore
@@ -205,5 +210,8 @@ func staleIgnoreFindings(p *Pass, checkers []Checker) []Finding {
 			}
 		}
 	}
+	// p.ignores is a map; sort so the report does not depend on its
+	// iteration order.
+	sortFindings(out)
 	return out
 }

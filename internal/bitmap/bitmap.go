@@ -1,20 +1,22 @@
-// Package bitmap implements a fixed-size concurrent bitmap with atomic
-// test-and-set, used by the SSSP filter stage to deduplicate frontier
-// vertices (the CPU analogue of Gunrock's bitmap + atomic filter).
+// Package bitmap implements a fixed-size two-level bitmap that the SSSP
+// filter stage uses to deduplicate updated vertices and emit them in
+// ascending order (the flag-array dedup a stepping framework runs after its
+// relax pass). It is not safe for concurrent use: the filter runs it on one
+// goroutine, after the advance workers have joined.
 package bitmap
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 const wordBits = 64
 
-// Bitmap is a set of n bits supporting concurrent TrySet operations.
-// The zero value is an empty bitmap of size 0; construct with New.
+// Bitmap is a set of n bits. Besides one word per 64 bits it keeps one
+// summary bit per word, set when the word may be non-zero, so Drain visits
+// only the words that hold set bits. The zero value is an empty bitmap of
+// size 0; construct with New.
 type Bitmap struct {
-	words []uint64
-	n     int
+	words   []uint64
+	summary []uint64
+	n       int
 }
 
 // New returns a bitmap holding n bits, all clear.
@@ -22,62 +24,49 @@ func New(n int) *Bitmap {
 	if n < 0 {
 		n = 0
 	}
-	return &Bitmap{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	nw := (n + wordBits - 1) / wordBits
+	return &Bitmap{
+		words:   make([]uint64, nw),
+		summary: make([]uint64, (nw+wordBits-1)/wordBits),
+		n:       n,
+	}
 }
 
 // Len reports the number of bits in the bitmap.
 func (b *Bitmap) Len() int { return b.n }
 
-// TrySet atomically sets bit i and reports whether this call changed it
-// (true means the caller "won" and owns deduplicated responsibility for i).
-func (b *Bitmap) TrySet(i int) bool {
-	w, mask := i/wordBits, uint64(1)<<uint(i%wordBits)
-	addr := &b.words[w]
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|mask) {
-			return true
-		}
-	}
+// Set sets bit i.
+func (b *Bitmap) Set(i int) {
+	w := i / wordBits
+	b.words[w] |= 1 << uint(i%wordBits)
+	b.summary[w/wordBits] |= 1 << uint(w%wordBits)
 }
 
-// Get reports whether bit i is set. Safe for concurrent use with TrySet.
+// Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool {
-	return atomic.LoadUint64(&b.words[i/wordBits])&(uint64(1)<<uint(i%wordBits)) != 0
+	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
-// Clear clears bit i (not atomic with respect to concurrent TrySet on the
-// same word; callers clear only between parallel phases).
-func (b *Bitmap) Clear(i int) {
-	//lint:ignore atomicmix callers clear only between parallel phases, after the workers have joined
-	b.words[i/wordBits] &^= uint64(1) << uint(i%wordBits)
-}
-
-// Reset clears every bit. O(n/64); used between iterations.
-func (b *Bitmap) Reset() {
-	for i := range b.words {
-		//lint:ignore atomicmix reset runs between parallel phases; no kernel goroutine is live
-		b.words[i] = 0
+// Drain appends the index of every set bit to dst in ascending order,
+// clears the bitmap, and returns the extended slice. It costs one step per
+// 4096 bits of capacity plus one per set bit.
+func (b *Bitmap) Drain(dst []int32) []int32 {
+	for si, s := range b.summary {
+		if s == 0 {
+			continue
+		}
+		b.summary[si] = 0
+		for s != 0 {
+			wi := si*wordBits + bits.TrailingZeros64(s)
+			s &= s - 1
+			w := b.words[wi]
+			b.words[wi] = 0
+			base := int32(wi * wordBits)
+			for w != 0 {
+				dst = append(dst, base+int32(bits.TrailingZeros64(w)))
+				w &= w - 1
+			}
+		}
 	}
-}
-
-// ClearAll clears exactly the listed bits, which is O(len(idx)) and much
-// cheaper than Reset when the set of touched bits is sparse relative to n.
-func (b *Bitmap) ClearAll(idx []int32) {
-	for _, i := range idx {
-		b.Clear(int(i))
-	}
-}
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	c := 0
-	//lint:ignore atomicmix count is taken after the phase barrier, when no writer is live
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
+	return dst
 }

@@ -1,13 +1,12 @@
 package bitmap
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
-
-	"energysssp/internal/parallel"
 )
 
-func TestTrySetBasic(t *testing.T) {
+func TestSetBasic(t *testing.T) {
 	b := New(130)
 	if b.Len() != 130 {
 		t.Fatalf("Len = %d, want 130", b.Len())
@@ -16,93 +15,77 @@ func TestTrySetBasic(t *testing.T) {
 		if b.Get(i) {
 			t.Fatalf("bit %d set in fresh bitmap", i)
 		}
-		if !b.TrySet(i) {
-			t.Fatalf("first TrySet(%d) lost", i)
-		}
-		if b.TrySet(i) {
-			t.Fatalf("second TrySet(%d) won", i)
-		}
+		b.Set(i)
+		b.Set(i)
 		if !b.Get(i) {
-			t.Fatalf("bit %d not set after TrySet", i)
+			t.Fatalf("bit %d not set after Set", i)
 		}
 	}
-	if b.Count() != 130 {
-		t.Fatalf("Count = %d, want 130", b.Count())
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatalf("Count after Reset = %d", b.Count())
+	if got := b.Drain(nil); len(got) != 130 {
+		t.Fatalf("Drain returned %d bits, want 130", len(got))
 	}
 }
 
-func TestClearAndClearAll(t *testing.T) {
-	b := New(200)
-	idx := []int32{0, 63, 64, 127, 128, 199}
+// Drain must emit word and summary boundaries in ascending order, append
+// to the caller's slice, and leave every bit clear.
+func TestDrainClears(t *testing.T) {
+	b := New(10000)
+	idx := []int32{9999, 4096, 0, 63, 4095, 64, 127, 128, 8191, 8192}
 	for _, i := range idx {
-		b.TrySet(int(i))
+		b.Set(int(i))
 	}
-	b.Clear(63)
-	if b.Get(63) {
-		t.Fatal("bit 63 still set after Clear")
+	got := b.Drain([]int32{-1})
+	want := []int32{-1, 0, 63, 64, 127, 128, 4095, 4096, 8191, 8192, 9999}
+	if len(got) != len(want) {
+		t.Fatalf("Drain = %v, want %v", got, want)
 	}
-	if b.Get(64) == false || b.Get(0) == false {
-		t.Fatal("Clear disturbed neighboring bits")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Drain = %v, want %v", got, want)
+		}
 	}
-	b.ClearAll(idx)
-	if b.Count() != 0 {
-		t.Fatalf("Count after ClearAll = %d", b.Count())
+	for _, i := range idx {
+		if b.Get(int(i)) {
+			t.Fatalf("bit %d still set after Drain", i)
+		}
+	}
+	if again := b.Drain(nil); len(again) != 0 {
+		t.Fatalf("second Drain returned %v, want nothing", again)
 	}
 }
 
 func TestNewNegative(t *testing.T) {
 	b := New(-5)
-	if b.Len() != 0 || b.Count() != 0 {
+	if b.Len() != 0 || len(b.Drain(nil)) != 0 {
 		t.Fatal("negative-size bitmap should be empty")
 	}
 }
 
-// Exactly one concurrent TrySet per bit must win.
-func TestTrySetConcurrentUniqueWinner(t *testing.T) {
-	const n = 1 << 14
-	b := New(n)
-	p := parallel.NewPool(8)
-	defer p.Close()
-	wins := make([]int32, n)
-	// Each bit is attempted by 4 different logical workers.
-	p.Dynamic(4*n, 128, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bit := i % n
-			if b.TrySet(bit) {
-				wins[bit]++ // winner is unique, so no race on wins[bit]
-			}
-		}
-	})
-	for i, w := range wins {
-		if w != 1 {
-			t.Fatalf("bit %d had %d winners", i, w)
-		}
-	}
-}
-
-// Property: after setting an arbitrary set of bits, Count equals the number
-// of distinct indices and Get agrees with membership.
+// Property: after setting an arbitrary multiset of bits, Get agrees with
+// membership and Drain counts exactly the distinct indices, in ascending
+// order.
 func TestSetGetCountProperty(t *testing.T) {
+	b := New(1 << 16)
 	f := func(raw []uint16) bool {
-		b := New(1 << 16)
 		seen := map[int]bool{}
 		for _, r := range raw {
-			i := int(r)
-			won := b.TrySet(i)
-			if won == seen[i] {
-				return false // must win iff not previously set
-			}
-			seen[i] = true
-		}
-		if b.Count() != len(seen) {
-			return false
+			b.Set(int(r))
+			seen[int(r)] = true
 		}
 		for i := range seen {
 			if !b.Get(i) {
+				return false
+			}
+		}
+		got := b.Drain(nil)
+		if len(got) != len(seen) {
+			return false
+		}
+		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+			return false
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] == got[i-1] {
 				return false
 			}
 		}
@@ -113,10 +96,14 @@ func TestSetGetCountProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkTrySet(b *testing.B) {
+func BenchmarkSetDrain(b *testing.B) {
 	bm := New(1 << 20)
+	out := make([]int32, 0, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bm.TrySet(i & (1<<20 - 1))
+		for j := 0; j < 4096; j++ {
+			bm.Set((j * 2654435761) & (1<<20 - 1))
+		}
+		out = bm.Drain(out[:0])
 	}
 }

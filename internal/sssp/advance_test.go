@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime/debug"
 	"sort"
 	"testing"
@@ -193,23 +194,42 @@ func TestAdaptiveSchedulerChoices(t *testing.T) {
 }
 
 // TestAdvanceSteadyStateAllocs is the allocation regression gate of the
-// tentpole: once buffers have warmed up, AdvanceRange must perform zero
+// advance: once buffers have warmed up, AdvanceRange must perform zero
 // allocations per iteration on both scheduling paths at every pool size.
+// Two states are measured. A converged full frontier scans every edge but
+// updates nothing. A whole solve on a reset distance array updates in
+// every round, so it fills the per-worker buffers (sized by X2) and the
+// filter's drain buffer (sized by |Out|).
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
+	init := newDist(g.NumVertices(), 0)
 	for _, ps := range []int{1, 4} {
 		for _, strat := range []Strategy{StrategyVertex, StrategyEdge} {
 			pool := parallel.NewPool(ps)
-			dist := newDist(g.NumVertices(), 0)
+			dist := append([]graph.Dist(nil), init...)
 			kn := NewKernels(g, pool, nil, dist)
 			kn.Force = strat
-			// Drive to convergence so buffers reach their high-water mark
-			// and the measured state is a genuine steady state.
-			front := []graph.VID{0}
-			for len(front) > 0 {
-				adv := kn.Advance(front)
-				front = append(front[:0], adv.Out...)
+			front := make([]graph.VID, 0, g.NumVertices())
+			solve := func() {
+				copy(dist, init)
+				front = append(front[:0], 0)
+				for len(front) > 0 {
+					adv := kn.Advance(front)
+					front = append(front[:0], adv.Out...)
+				}
 			}
+			// Warm-up solves bring the buffers to their high-water mark,
+			// so the measured runs are a genuine steady state. With several
+			// workers that mark depends on the schedule, so warm until
+			// three solves in a row allocate nothing.
+			for i, quiet := 0, 0; i < 30 && quiet < 3; i++ {
+				if testing.AllocsPerRun(1, solve) == 0 {
+					quiet++
+				} else {
+					quiet = 0
+				}
+			}
+			solveAllocs := testing.AllocsPerRun(5, solve)
 			frontier := make([]graph.VID, 0, g.NumVertices())
 			for v := 0; v < g.NumVertices(); v++ {
 				if dist[v] < graph.Inf {
@@ -223,7 +243,115 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 			kn.Release()
 			pool.Close()
 			if allocs != 0 {
-				t.Errorf("pool %d %v: Advance allocates %.1f per run, want 0", ps, strat, allocs)
+				t.Errorf("pool %d %v: converged Advance allocates %.1f per run, want 0", ps, strat, allocs)
+			}
+			if solveAllocs != 0 {
+				t.Errorf("pool %d %v: a warmed solve allocates %.1f per run, want 0", ps, strat, solveAllocs)
+			}
+		}
+	}
+}
+
+// TestAdvanceFilterContract checks the filter output round by round over
+// whole solves, at pool sizes 1, 2 and 4 on both scheduling paths: Out is
+// strictly ascending (so free of duplicates) and is exactly the set of
+// vertices whose distance dropped during that Advance, whichever worker
+// won each relaxation race.
+func TestAdvanceFilterContract(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"rmat": gen.RMAT(10, 8, 0.57, 0.19, 0.19, 1, 99, 3),
+		"road": gen.Road(40, 50, 0.1, 1, 100, 7),
+	}
+	for name, g := range graphs {
+		for _, ps := range []int{1, 2, 4} {
+			for _, strat := range []Strategy{StrategyVertex, StrategyEdge} {
+				pool := parallel.NewPool(ps)
+				dist := newDist(g.NumVertices(), 0)
+				before := make([]graph.Dist, len(dist))
+				kn := NewKernels(g, pool, nil, dist)
+				kn.Force = strat
+				front := []graph.VID{0}
+				rounds, edgeRounds := 0, 0
+				for len(front) > 0 {
+					copy(before, dist)
+					adv := kn.Advance(front)
+					rounds++
+					if adv.EdgeBalanced {
+						edgeRounds++
+					}
+					k := 0
+					for v := range dist {
+						if dist[v] == before[v] {
+							continue
+						}
+						if k >= len(adv.Out) || adv.Out[k] != graph.VID(v) {
+							t.Fatalf("%s pool %d %v round %d: Out=%v does not match dropped vertex %d at position %d",
+								name, ps, strat, rounds, adv.Out, v, k)
+						}
+						k++
+					}
+					if k != len(adv.Out) {
+						t.Fatalf("%s pool %d %v round %d: Out has %d vertices, %d distances dropped",
+							name, ps, strat, rounds, len(adv.Out), k)
+					}
+					if adv.X2 < len(adv.Out) {
+						t.Fatalf("%s pool %d %v round %d: X2=%d below |Out|=%d",
+							name, ps, strat, rounds, adv.X2, len(adv.Out))
+					}
+					front = append(front[:0], adv.Out...)
+				}
+				kn.Release()
+				pool.Close()
+				if strat == StrategyEdge && ps > 1 && edgeRounds == 0 {
+					t.Errorf("%s pool %d: forced edge strategy never ran the edge path in %d rounds", name, ps, rounds)
+				}
+			}
+		}
+	}
+}
+
+// TestAdvanceScanShortcut checks that skipping the degree scan when no
+// edge-path trigger can fire leaves the adaptive decision unchanged: on a
+// road graph (max degree <= 4) the shortcut is taken and the scanned
+// chooser agrees it would pick the vertex path; on an RMAT graph the
+// shortcut never applies and the decision is the scanned one.
+func TestAdvanceScanShortcut(t *testing.T) {
+	road := gen.Road(120, 120, 0.1, 1, 100, 11)
+	rmat := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 1, 99, 5)
+	if d := road.MaxDegree(); d > 4 {
+		t.Fatalf("road graph max degree %d, want <= 4", d)
+	}
+	for name, g := range map[string]*graph.Graph{"road": road, "rmat": rmat} {
+		n := g.NumVertices()
+		rng := rand.New(rand.NewSource(1))
+		perm := make([]graph.VID, n)
+		for i, v := range rng.Perm(n) {
+			perm[i] = graph.VID(v)
+		}
+		for _, ps := range []int{2, 4} {
+			pool := parallel.NewPool(ps)
+			kn := NewKernels(g, pool, nil, newDist(n, 0))
+			edgeChosen := 0
+			for _, size := range []int{adaptMinFront, 500, 2000, n / 4, n / 2, n} {
+				front := perm[:size]
+				kn.front = front
+				got := kn.planAdvance(size)
+				want := kn.chooseScanned(size)
+				kn.front = nil
+				if got != want {
+					t.Errorf("%s pool %d frontier %d: planAdvance=%v, scanned chooser=%v", name, ps, size, got, want)
+				}
+				if skip := !kn.edgePathCanFire(size); skip != (name == "road") {
+					t.Errorf("%s pool %d frontier %d: scan skipped=%v", name, ps, size, skip)
+				}
+				if want {
+					edgeChosen++
+				}
+			}
+			kn.Release()
+			pool.Close()
+			if name == "rmat" && edgeChosen == 0 {
+				t.Errorf("rmat pool %d: the scanned chooser never picked the edge path", ps)
 			}
 		}
 	}

@@ -64,8 +64,9 @@ const (
 
 // Kernels bundles the parallel relaxation machinery shared by the near-far
 // baseline and the self-tuning algorithm: the advance stage (edge-parallel
-// relaxation with atomic-min) fused with the filter stage (bitmap
-// deduplication), mirroring how Gunrock structures the same work on a GPU.
+// relaxation with atomic-min, emitting every successful update) followed by
+// the filter stage (bitmap deduplication after the join, in vertex order),
+// mirroring how Gunrock structures the same work on a GPU.
 // A Kernels value is bound to one (graph, distance array) pair for the
 // duration of a solve; call Release when the solve finishes to return the
 // pooled scratch.
@@ -81,6 +82,9 @@ type Kernels struct {
 
 	sc   *scratch
 	scan *parallel.Scan
+	// maxDeg is the graph's maximum out-degree. It bounds every frontier's
+	// degrees, so planAdvance can rule out the edge path without a scan.
+	maxDeg int64
 
 	// Observability handles, all nil when no observer is attached. Every
 	// one is nil-safe, so the instrumented sites below run unconditionally
@@ -113,12 +117,13 @@ type Kernels struct {
 // every NewKernels with a Release.
 func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []graph.Dist) *Kernels {
 	kn := &Kernels{
-		G:    g,
-		Pool: pool,
-		Mach: mach,
-		Dist: dist,
-		sc:   getScratch(g.NumVertices(), pool.Size()),
-		scan: parallel.NewScan(pool),
+		G:      g,
+		Pool:   pool,
+		Mach:   mach,
+		Dist:   dist,
+		sc:     getScratch(g.NumVertices(), pool.Size()),
+		scan:   parallel.NewScan(pool),
+		maxDeg: g.MaxDegree(),
 	}
 	kn.degreeOf = func(i int) int64 { return kn.G.OutDegree(kn.front[i]) }
 	kn.vertexWorker = func(w int) {
@@ -128,9 +133,8 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		g := kn.G
 		dist := kn.Dist
 		wlo, whi := kn.wlo, kn.whi
-		seen := kn.sc.seen
 		buf := kn.sc.bufs[w]
-		var x2, edges int64
+		var edges int64
 		for {
 			lo := int(kn.next.Add(advanceGrain)) - advanceGrain
 			if lo >= n {
@@ -151,16 +155,12 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 					}
 					nd := du + graph.Dist(ws[j])
 					if parallel.MinInt64(&dist[v], nd) {
-						x2++
-						if seen.TrySet(int(v)) {
-							buf = append(buf, v)
-						}
+						buf = append(buf, v)
 					}
 				}
 			}
 		}
 		kn.sc.bufs[w] = buf
-		kn.sc.counts[w].x2 += x2
 		kn.sc.counts[w].edges += edges
 	}
 	kn.edgeWorker = func(w int) {
@@ -174,9 +174,7 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		g := kn.G
 		dist := kn.Dist
 		wlo, whi := kn.wlo, kn.whi
-		seen := kn.sc.seen
 		buf := kn.sc.bufs[w]
-		var x2 int64
 		vi := parallel.SearchPrefix(prefix, elo)
 		for e := elo; e < ehi; {
 			for prefix[vi+1] <= e {
@@ -197,16 +195,12 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 				nd := du + graph.Dist(ws[j])
 				v := vs[j]
 				if parallel.MinInt64(&dist[v], nd) {
-					x2++
-					if seen.TrySet(int(v)) {
-						buf = append(buf, v)
-					}
+					buf = append(buf, v)
 				}
 			}
 			e += int64(segHi - segLo)
 		}
 		kn.sc.bufs[w] = buf
-		kn.sc.counts[w].x2 += x2
 		// Each worker examines exactly its edge share, so the summed
 		// Edges equals the frontier's total out-degree — the same count
 		// the vertex path reports.
@@ -271,9 +265,10 @@ func (kn *Kernels) Release() {
 
 // AdvanceResult reports one advance+filter execution.
 type AdvanceResult struct {
-	// Out is the deduplicated updated frontier (the filter output, X³).
-	// The slice is reused across calls; callers must consume it before
-	// the next Advance (and before Release).
+	// Out is the deduplicated updated frontier (the filter output, X³):
+	// every vertex whose distance dropped during the call, in ascending
+	// vertex order. The slice is reused across calls; callers must consume
+	// it before the next Advance (and before Release).
 	Out []graph.VID
 	// X2 is the advance output cardinality — the number of successful
 	// distance updates including duplicates, the paper's available
@@ -290,9 +285,10 @@ type AdvanceResult struct {
 
 // Advance executes the advance and filter stages over the given frontier:
 // every outgoing edge of every frontier vertex is relaxed with an atomic
-// min, winners are deduplicated through the bitmap, and the simulated
-// machine (if any) is charged an edge-parallel advance kernel plus a
-// vertex-parallel filter kernel.
+// min, every successful update is emitted, the updates are deduplicated
+// through the bitmap after the workers join, and the simulated machine (if
+// any) is charged an edge-parallel advance kernel plus a vertex-parallel
+// filter kernel.
 func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 	return kn.AdvanceRange(front, 1, 1<<31-1)
 }
@@ -330,12 +326,12 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 
 	res := AdvanceResult{EdgeBalanced: useEdge}
 	for w := 0; w < nw; w++ {
-		res.X2 += int(sc.counts[w].x2)
+		res.X2 += len(sc.bufs[w])
 		res.Edges += sc.counts[w].edges
 	}
 	// Charge order is advance then filter, exactly as before observability:
 	// the advance charge closes the advance span, the filter charge closes
-	// the filter span (which covers the host-side merge + bitmap clear).
+	// the filter span (which covers the host-side dedup and drain).
 	advSimStart := kn.SimNow()
 	if kn.Mach != nil {
 		e0 := kn.Mach.Energy()
@@ -347,16 +343,15 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 
 	obs.ApplyPhaseLabel(obs.PhaseFilter)
 	spFil := kn.tr.Begin(obs.PhaseFilter)
-	out := sc.bufs[0]
-	for w := 1; w < nw; w++ {
-		out = append(out, sc.bufs[w]...)
+	// Dedup on this goroutine, after the join. Draining the bitmap emits
+	// Out in vertex order and leaves it clear for the next iteration.
+	for w := 0; w < nw; w++ {
+		for _, v := range sc.bufs[w] {
+			sc.seen.Set(int(v))
+		}
 	}
-	sc.bufs[0] = out
-	res.Out = out
-	// Release the dedup bits for the next iteration; O(|Out|).
-	for _, v := range out {
-		sc.seen.Clear(int(v))
-	}
+	sc.out = sc.seen.Drain(sc.out[:0])
+	res.Out = sc.out
 	filSimStart := kn.SimNow()
 	var filDur time.Duration
 	if kn.Mach != nil {
@@ -392,28 +387,47 @@ func (kn *Kernels) planAdvance(n int) bool {
 	case StrategyVertex:
 		return false
 	case StrategyEdge:
-		obs.ApplyPhaseLabel(obs.PhaseScan)
-		sp := kn.tr.Begin(obs.PhaseScan)
-		kn.edgeTotal, _ = kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
-		sp.End(int64(n))
-		return kn.edgeTotal > 0
+		total, _ := kn.scanDegrees(n)
+		return total > 0
 	}
-	if n < adaptMinFront {
+	if n < adaptMinFront || !kn.edgePathCanFire(n) {
 		return false
 	}
-	obs.ApplyPhaseLabel(obs.PhaseScan)
-	sp := kn.tr.Begin(obs.PhaseScan)
-	total, maxDeg := kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
-	sp.End(int64(n))
-	kn.edgeTotal = total
+	return kn.chooseScanned(n)
+}
+
+// edgePathCanFire reports whether either edge-path trigger of chooseScanned
+// is reachable for n frontier vertices, given the graph's maximum degree.
+// The skew trigger needs a frontier degree of at least skewFactor (the mean
+// is at least 1), and the size trigger needs n·maxDeg ≥ largeFrontierEdges.
+// When neither can fire the scanned chooser returns false, so skipping the
+// scan leaves the decision unchanged. On road networks (maxDeg ≤ 4) no
+// advance scans.
+func (kn *Kernels) edgePathCanFire(n int) bool {
+	return kn.maxDeg >= skewFactor || int64(n)*kn.maxDeg >= largeFrontierEdges
+}
+
+// chooseScanned scans the frontier's degrees and takes the edge path when
+// every worker gets enough edges and either the degree skew or the edge
+// count is large.
+func (kn *Kernels) chooseScanned(n int) bool {
+	total, maxDeg := kn.scanDegrees(n)
 	if total < int64(kn.Pool.Size())*edgeShareMin {
 		return false
 	}
-	mean := total / int64(n)
-	if mean < 1 {
-		mean = 1
-	}
+	mean := max(total/int64(n), 1)
 	return maxDeg >= skewFactor*mean || total >= largeFrontierEdges
+}
+
+// scanDegrees builds the exclusive prefix sum of the n frontier degrees for
+// the edge workers and returns their total and maximum.
+func (kn *Kernels) scanDegrees(n int) (total, maxDeg int64) {
+	obs.ApplyPhaseLabel(obs.PhaseScan)
+	sp := kn.tr.Begin(obs.PhaseScan)
+	total, maxDeg = kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
+	sp.End(int64(n))
+	kn.edgeTotal = total
+	return total, maxDeg
 }
 
 // ChargeBisect charges the bisect-frontier kernel over items work items,

@@ -11,24 +11,25 @@ import (
 
 // counters is one worker's advance reduction slot, padded to a cache line.
 type counters struct {
-	x2    int64
 	edges int64
-	_     [6]int64
+	_     [7]int64
 }
 
 // scratch is the distance-array-sized working memory of one Kernels value:
-// the filter bitmap, the per-worker output buffers, the degree prefix array
-// of the edge-balanced advance, and the per-worker counter blocks. Scratch
-// is pooled so batch solves (one Kernels per source, internal/sssp.Batch)
-// stop re-allocating vertex-sized temporaries on every solve.
+// the filter bitmap and its drain buffer, the per-worker advance output
+// buffers, the degree prefix array of the edge-balanced advance, and the
+// per-worker counter blocks. Scratch is pooled so batch solves (one Kernels
+// per source, internal/sssp.Batch) stop re-allocating vertex-sized
+// temporaries on every solve.
 //
 // Invariant: a released scratch has an all-clear bitmap. AdvanceRange
-// clears every bit it sets before returning, so the invariant holds along
+// drains every bit it sets before returning, so the invariant holds along
 // every solver path, including early livelock-guard exits (those happen
 // between Advance calls).
 type scratch struct {
 	seen   *bitmap.Bitmap
 	bufs   [][]graph.VID
+	out    []graph.VID
 	prefix []int64
 	counts []counters
 }

@@ -32,6 +32,11 @@ go test -race ./internal/parallel/... ./internal/frontier/... ./internal/sssp/..
     ./internal/obs/... ./internal/flight/... ./internal/core/... \
     ./internal/perf/... ./internal/incident/... ./internal/slo/...
 
+echo "==> go test -race -cpu 1,2,4: advance filter contract and scan shortcut"
+# Out must be the ascending, duplicate-free set of lowered vertices at every
+# worker count, and skipping the degree scan must not change the schedule.
+go test -race -cpu 1,2,4 -count=1 -run 'TestAdvanceFilterContract|TestAdvanceScanShortcut' ./internal/sssp/
+
 echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # Two racing solves must stay bit-identical to their sequential runs while
 # recording disjoint span trees and exact fleet-equals-sum-of-scopes metrics.
