@@ -9,10 +9,13 @@ package energysssp
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"energysssp/internal/core"
 	"energysssp/internal/gen"
@@ -378,6 +381,142 @@ func BenchmarkAdvance(b *testing.B) {
 					benchAdvance(b, gc.g, workers, sc.strat, nil)
 				})
 			}
+		}
+	}
+}
+
+// recordRounds runs a fixed-delta near-far solve from src on one worker and
+// returns the frontier of each advance round, in order: the near set below
+// the current threshold, refilled from the far set each time the threshold
+// steps up by delta.
+func recordRounds(g *Graph, src VID, delta Dist) [][]VID {
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	dist := make([]Dist, g.NumVertices())
+	for v := range dist {
+		dist[v] = Inf
+	}
+	dist[src] = 0
+	kn := sssp.NewKernels(g, pool, nil, dist)
+	defer kn.Release()
+	var rounds [][]VID
+	near, far := []VID{src}, []VID(nil)
+	for thr := delta; len(near) > 0 || len(far) > 0; thr += delta {
+		for len(near) > 0 {
+			rounds = append(rounds, near)
+			adv := kn.Advance(near)
+			near = nil
+			for _, v := range adv.Out {
+				if dist[v] < thr {
+					near = append(near, v)
+				} else {
+					far = append(far, v)
+				}
+			}
+		}
+		kept := far[:0]
+		for _, v := range far {
+			if dist[v] < thr+delta {
+				near = append(near, v)
+			} else {
+				kept = append(kept, v)
+			}
+		}
+		far = kept
+		slices.Sort(near)
+		near = slices.Compact(near)
+	}
+	return rounds
+}
+
+// roundBins are the classes of a round's edge bound n·maxDeg that
+// BenchmarkAdvanceRounds reports per-edge cost for, each holding the rounds
+// below its bound and above the previous one.
+var roundBins = []struct {
+	below int64
+	name  string
+}{
+	{1 << 10, "nD<2^10"}, {1 << 12, "nD<2^12"}, {1 << 14, "nD<2^14"},
+	{1 << 16, "nD<2^16"}, {math.MaxInt64, "nD>=2^16"},
+}
+
+// BenchmarkAdvanceRounds replays every round of a real near-far solve with
+// live relaxations: each op resets the distances and re-runs the recorded
+// frontiers in order, so about as many relaxations succeed as in the solve
+// (BenchmarkAdvance's converged distances never improve). It runs on a
+// Cal-like road graph and an RMAT graph at 1, 2 and 4 workers under
+// StrategyAuto, plus pinned vertex legs that take every round of more than
+// one chunk to the pool. Besides ns/op it reports ns per examined edge for
+// each class of the rounds' edge bound n·maxDeg, the quantity the
+// single-writer cutoff tests: the crossover is the first class in which a
+// vertex leg beats p1.
+func BenchmarkAdvanceRounds(b *testing.B) {
+	inputs := []struct {
+		name  string
+		g     *Graph
+		delta Dist // multiple of the average weight
+	}{
+		// A wide delta spreads the road rounds' n·maxDeg from 2^4 to 2^18,
+		// across the cutoff on both sides.
+		{"road", gen.CalLike(0.125, 21), 64},
+		{"rmat", gen.RMAT(14, 16, 0.57, 0.19, 0.19, 1, 99, 21), 1},
+	}
+	legs := []struct {
+		workers int
+		strat   sssp.Strategy
+	}{
+		{1, sssp.StrategyAuto}, {2, sssp.StrategyAuto}, {4, sssp.StrategyAuto},
+		{2, sssp.StrategyVertex}, {4, sssp.StrategyVertex},
+	}
+	for _, in := range inputs {
+		g := in.g
+		rounds := recordRounds(g, 0, in.delta*max(Dist(g.AvgWeight()), 1))
+		maxDeg := g.MaxDegree()
+		for _, leg := range legs {
+			b.Run(fmt.Sprintf("%s/p%d/%v", in.name, leg.workers, leg.strat), func(b *testing.B) {
+				pool := parallel.NewPool(leg.workers)
+				defer pool.Close()
+				init := make([]Dist, g.NumVertices())
+				for v := range init {
+					init[v] = Inf
+				}
+				init[0] = 0
+				dist := append([]Dist(nil), init...)
+				kn := sssp.NewKernels(g, pool, nil, dist)
+				defer kn.Release()
+				kn.Force = leg.strat
+				binNs := make([]time.Duration, len(roundBins))
+				binEdges := make([]int64, len(roundBins))
+				replay := func() {
+					copy(dist, init)
+					for _, front := range rounds {
+						bin := 0
+						for int64(len(front))*maxDeg >= roundBins[bin].below {
+							bin++
+						}
+						t0 := time.Now()
+						adv := kn.Advance(front)
+						binNs[bin] += time.Since(t0)
+						binEdges[bin] += adv.Edges
+					}
+				}
+				replay() // warm the scratch buffers
+				clear(binNs)
+				clear(binEdges)
+				b.ReportAllocs()
+				runtime.GC()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					replay()
+				}
+				b.StopTimer()
+				for i, bin := range roundBins {
+					if binEdges[i] > 0 {
+						b.ReportMetric(float64(binNs[i])/float64(binEdges[i]), "ns/edge:"+bin.name)
+					}
+				}
+				b.ReportMetric(float64(len(rounds)), "rounds/op")
+			})
 		}
 	}
 }

@@ -44,6 +44,11 @@ type Graph struct {
 	Wgt    []Weight
 
 	name string
+	// maxDeg and avgWgt are the maximum out-degree and mean edge weight,
+	// taken while the graph is built so solvers read them in O(1). The
+	// weight sum is an exact integer.
+	maxDeg int64
+	avgWgt float64
 }
 
 // ErrBadGraph reports a structurally invalid graph or edge set.
@@ -63,6 +68,7 @@ func New(n int, edges []Edge) (*Graph, error) {
 		Col:    make([]VID, len(edges)),
 		Wgt:    make([]Weight, len(edges)),
 	}
+	var wsum int64
 	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("%w: edge (%d,%d) out of range [0,%d)", ErrBadGraph, e.U, e.V, n)
@@ -71,9 +77,11 @@ func New(n int, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("%w: edge (%d,%d) has non-positive weight %d", ErrBadGraph, e.U, e.V, e.W)
 		}
 		g.RowPtr[e.U+1]++
+		wsum += int64(e.W)
 	}
-	for i := 0; i < n; i++ {
-		g.RowPtr[i+1] += g.RowPtr[i]
+	g.prefixRows()
+	if len(edges) > 0 {
+		g.avgWgt = float64(wsum) / float64(len(edges))
 	}
 	next := make([]int64, n)
 	copy(next, g.RowPtr[:n])
@@ -84,6 +92,15 @@ func New(n int, edges []Edge) (*Graph, error) {
 		g.Wgt[p] = e.W
 	}
 	return g, nil
+}
+
+// prefixRows turns the per-vertex degrees counted into RowPtr[1:] into row
+// offsets, recording the maximum degree on the way.
+func (g *Graph) prefixRows() {
+	for i := 1; i < len(g.RowPtr); i++ {
+		g.maxDeg = max(g.maxDeg, g.RowPtr[i])
+		g.RowPtr[i] += g.RowPtr[i-1]
+	}
 }
 
 // MustNew is New but panics on error; intended for generators and tests
@@ -168,13 +185,12 @@ func (g *Graph) Transpose() *Graph {
 		Col:    make([]VID, len(g.Col)),
 		Wgt:    make([]Weight, len(g.Wgt)),
 		name:   g.name,
+		avgWgt: g.avgWgt, // same weights, flipped arcs
 	}
 	for _, v := range g.Col {
 		t.RowPtr[v+1]++
 	}
-	for i := 0; i < n; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
+	t.prefixRows()
 	next := make([]int64, n)
 	copy(next, t.RowPtr[:n])
 	for u := 0; u < n; u++ {

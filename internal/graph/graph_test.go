@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"energysssp/internal/fp"
 )
 
 func diamond() *Graph {
@@ -140,6 +142,22 @@ func TestAvgWeight(t *testing.T) {
 	}
 	if MustNew(2, nil).AvgWeight() != 0 {
 		t.Fatal("AvgWeight of edgeless graph should be 0")
+	}
+}
+
+// TestSummariesCachedAtBuild checks the O(1) MaxDegree and AvgWeight
+// against the full statistics scan, on graphs built by New and by
+// Transpose (whose degrees differ from the original's).
+func TestSummariesCachedAtBuild(t *testing.T) {
+	g := MustNew(50, randomEdges(50, 400, 3))
+	for name, h := range map[string]*Graph{"new": g, "transpose": g.Transpose()} {
+		s := h.ComputeStats()
+		if h.MaxDegree() != s.MaxDegree {
+			t.Errorf("%s: MaxDegree %d, stats %d", name, h.MaxDegree(), s.MaxDegree)
+		}
+		if !fp.Eq(h.AvgWeight(), s.AvgWeight) {
+			t.Errorf("%s: AvgWeight %v, stats %v", name, h.AvgWeight(), s.AvgWeight)
+		}
 	}
 }
 

@@ -78,28 +78,12 @@ func (g *Graph) ComputeStats() Stats {
 
 // AvgWeight returns the mean edge weight (0 for an edgeless graph). The
 // partitioned far queue's first boundary is initialized to this value, per
-// Section 4.6 of the paper.
-func (g *Graph) AvgWeight() float64 {
-	if len(g.Wgt) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, w := range g.Wgt {
-		sum += float64(w)
-	}
-	return sum / float64(len(g.Wgt))
-}
+// Section 4.6 of the paper. It is computed once when the graph is built.
+func (g *Graph) AvgWeight() float64 { return g.avgWgt }
 
-// MaxDegree returns the maximum out-degree.
-func (g *Graph) MaxDegree() int64 {
-	var max int64
-	for u := 0; u < g.NumVertices(); u++ {
-		if d := g.OutDegree(VID(u)); d > max {
-			max = d
-		}
-	}
-	return max
-}
+// MaxDegree returns the maximum out-degree, computed once when the graph is
+// built.
+func (g *Graph) MaxDegree() int64 { return g.maxDeg }
 
 // BFSHops performs an unweighted BFS from src and returns the maximum hop
 // count reached and the number of reachable vertices (including src).

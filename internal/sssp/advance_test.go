@@ -10,6 +10,7 @@ import (
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
 	"energysssp/internal/metrics"
+	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 )
 
@@ -84,7 +85,7 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 		gen.ErdosRenyi(2000, 12000, 1, 50, 5),
 		gen.Road(40, 50, 0.1, 1, 100, 7),
 	}
-	ranges := [][2]graph.Weight{{1, 1<<31 - 1}, {1, 20}, {21, 1<<31 - 1}}
+	ranges := [][2]graph.Weight{{1, 1<<31 - 1}, {1, 20}, {21, 1<<31 - 1}, {30, 20}}
 	for gi, g := range graphs {
 		dist0, front := settledState(t, g, 0)
 		for _, wr := range ranges {
@@ -193,42 +194,72 @@ func TestAdaptiveSchedulerChoices(t *testing.T) {
 	}
 }
 
+// wholeSolve returns a function that re-runs a whole solve from vertex 0
+// on kn, Bellman-Ford style (each round's Out is the next frontier), after
+// resetting the distances to init.
+func wholeSolve(kn *Kernels, init []graph.Dist) func() {
+	front := make([]graph.VID, 0, len(init))
+	return func() {
+		copy(kn.Dist, init)
+		front = append(front[:0], 0)
+		for len(front) > 0 {
+			adv := kn.Advance(front)
+			front = append(front[:0], adv.Out...)
+		}
+	}
+}
+
+// warmAllocs runs solve until three runs in a row allocate nothing (at
+// most 30 runs), bringing buffers to their high-water mark so the next
+// measurement sees a genuine steady state. With several workers that mark
+// depends on the schedule.
+func warmAllocs(solve func()) {
+	for i, quiet := 0, 0; i < 30 && quiet < 3; i++ {
+		if testing.AllocsPerRun(1, solve) == 0 {
+			quiet++
+		} else {
+			quiet = 0
+		}
+	}
+}
+
 // TestAdvanceSteadyStateAllocs is the allocation regression gate of the
 // advance: once buffers have warmed up, AdvanceRange must perform zero
-// allocations per iteration on both scheduling paths at every pool size.
+// allocations per iteration on every scheduling path at every pool size.
 // Two states are measured. A converged full frontier scans every edge but
 // updates nothing. A whole solve on a reset distance array updates in
 // every round, so it fills the per-worker buffers (sized by X2) and the
-// filter's drain buffer (sized by |Out|).
+// filter's drain buffer (sized by |Out|). A whole road solve at pool size 2
+// runs every round on the single-writer path, whose buffer grows inside
+// the kernel.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
+	road := gen.Road(40, 50, 0.1, 1, 100, 7)
+	pool := parallel.NewPool(2)
+	st := new(obs.PoolStats)
+	pool.Observe(st)
+	init := newDist(road.NumVertices(), 0)
+	kn := NewKernels(road, pool, nil, append([]graph.Dist(nil), init...))
+	solve := wholeSolve(kn, init)
+	warmAllocs(solve)
+	if allocs := testing.AllocsPerRun(5, solve); allocs != 0 {
+		t.Errorf("road pool 2: a warmed serial solve allocates %.1f per run, want 0", allocs)
+	}
+	if n := st.Launches(); n != 0 {
+		t.Errorf("road pool 2: %d pool launches, want every round serial", n)
+	}
+	kn.Release()
+	pool.Close()
+
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
-	init := newDist(g.NumVertices(), 0)
+	init = newDist(g.NumVertices(), 0)
 	for _, ps := range []int{1, 4} {
 		for _, strat := range []Strategy{StrategyVertex, StrategyEdge} {
 			pool := parallel.NewPool(ps)
 			dist := append([]graph.Dist(nil), init...)
 			kn := NewKernels(g, pool, nil, dist)
 			kn.Force = strat
-			front := make([]graph.VID, 0, g.NumVertices())
-			solve := func() {
-				copy(dist, init)
-				front = append(front[:0], 0)
-				for len(front) > 0 {
-					adv := kn.Advance(front)
-					front = append(front[:0], adv.Out...)
-				}
-			}
-			// Warm-up solves bring the buffers to their high-water mark,
-			// so the measured runs are a genuine steady state. With several
-			// workers that mark depends on the schedule, so warm until
-			// three solves in a row allocate nothing.
-			for i, quiet := 0, 0; i < 30 && quiet < 3; i++ {
-				if testing.AllocsPerRun(1, solve) == 0 {
-					quiet++
-				} else {
-					quiet = 0
-				}
-			}
+			solve := wholeSolve(kn, init)
+			warmAllocs(solve)
 			solveAllocs := testing.AllocsPerRun(5, solve)
 			frontier := make([]graph.VID, 0, g.NumVertices())
 			for v := 0; v < g.NumVertices(); v++ {
@@ -353,6 +384,40 @@ func TestAdvanceScanShortcut(t *testing.T) {
 			if name == "rmat" && edgeChosen == 0 {
 				t.Errorf("rmat pool %d: the scanned chooser never picked the edge path", ps)
 			}
+		}
+	}
+}
+
+// TestSerialCutoffBoundary checks the single-writer cutoff at its edge: on
+// a graph of maximum degree 4 at pool size 2, a frontier whose edge bound
+// n·4 is just below serialEdges runs without a pool launch, and one at
+// the cutoff launches the pool once.
+func TestSerialCutoffBoundary(t *testing.T) {
+	g := gen.Road(100, 100, 0.1, 1, 100, 1)
+	if d := g.MaxDegree(); d != 4 {
+		t.Fatalf("road graph max degree %d, want 4", d)
+	}
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	st := new(obs.PoolStats)
+	pool.Observe(st)
+	for _, c := range []struct {
+		size     int
+		launches int64
+	}{{serialEdges/4 - 1, 0}, {serialEdges / 4, 1}} {
+		dist := newDist(g.NumVertices(), 0)
+		front := make([]graph.VID, c.size)
+		for i := range front {
+			front[i] = graph.VID(i)
+			dist[i] = 0
+		}
+		kn := NewKernels(g, pool, nil, dist)
+		before := st.Launches()
+		kn.Advance(front)
+		kn.Release()
+		if got := st.Launches() - before; got != c.launches {
+			t.Errorf("frontier %d (n·D = %d, cutoff %d): %d pool launches, want %d",
+				c.size, c.size*4, serialEdges, got, c.launches)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -43,8 +44,20 @@ func (s Strategy) String() string {
 // frontier and pool size — never in timing — so repeated runs take the same
 // path and simulated accounting stays reproducible.
 const (
+	// serialEdges is the edge cutoff of the single-writer path: under
+	// StrategyAuto a round whose edge bound n·maxDeg is below it runs on the
+	// calling goroutine. BenchmarkAdvanceRounds puts the crossover at or
+	// above 2^16 on a 2-vCPU Xeon: per examined edge the pool (p2 and p4
+	// vertex legs) costs about 2x the serial path below 2^12, 1.7x in
+	// [2^12, 2^14), 1.5x in [2^14, 2^16) and about 1x above 2^16 on the
+	// road input. The cutoff sits a class below the loss seen here, which
+	// keeps every controller-sized road round (a few thousand vertices of
+	// degree <= 4) serial and leaves mid-sized rounds to the pool on hosts
+	// with more cores.
+	serialEdges = 1 << 14
 	// advanceGrain is the vertex count per dynamically scheduled chunk on
-	// the vertex path.
+	// the vertex path. A frontier of at most one chunk cannot be split by
+	// that path, so it runs on the single-writer path instead.
 	advanceGrain = 64
 	// adaptMinFront is the frontier size below which StrategyAuto takes
 	// the vertex path without scanning degrees at all.
@@ -62,10 +75,11 @@ const (
 	largeFrontierEdges = 1 << 20
 )
 
-// Kernels bundles the parallel relaxation machinery shared by the near-far
-// baseline and the self-tuning algorithm: the advance stage (edge-parallel
-// relaxation with atomic-min, emitting every successful update) followed by
-// the filter stage (bitmap deduplication after the join, in vertex order),
+// Kernels bundles the relaxation machinery shared by the near-far baseline
+// and the self-tuning algorithm: the advance stage (relaxation emitting
+// every successful update — on one writer with plain stores for small
+// rounds, edge-parallel with atomic-min for large ones) followed by the
+// filter stage (bitmap deduplication after the join, in vertex order),
 // mirroring how Gunrock structures the same work on a GPU.
 // A Kernels value is bound to one (graph, distance array) pair for the
 // duration of a solve; call Release when the solve finishes to return the
@@ -83,7 +97,8 @@ type Kernels struct {
 	sc   *scratch
 	scan *parallel.Scan
 	// maxDeg is the graph's maximum out-degree. It bounds every frontier's
-	// degrees, so planAdvance can rule out the edge path without a scan.
+	// degrees, so a round's edge count is at most n·maxDeg: serialRound
+	// and planAdvance decide from it without a scan.
 	maxDeg int64
 
 	// Observability handles, all nil when no observer is attached. Every
@@ -209,6 +224,12 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 	return kn
 }
 
+// roundHook, when non-nil, runs at the start of every AdvanceRange with
+// the round's inputs, before any distance changes. Tests set it to check
+// each round of whole solves against the atomic kernel; it is nil
+// otherwise.
+var roundHook func(kn *Kernels, front []graph.VID, wlo, whi graph.Weight)
+
 // x2Buckets spans the plausible range of per-iteration update counts
 // (the paper's X² parallelism signal): powers of four from 1 to 4M.
 var x2Buckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
@@ -297,12 +318,19 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 // [wlo, whi]. Classic delta-stepping uses it for its light-edge
 // (weight <= delta) and heavy-edge (weight > delta) phases.
 //
-// The frontier is scheduled by one of two host-side paths — vertex-dynamic
-// chunks or an edge-balanced static partition over a degree prefix sum —
-// chosen per Force (adaptively under StrategyAuto). Both paths examine the
-// same edge set, perform the same atomic-min relaxations, and charge the
-// simulated machine identically, so strategy affects wall-clock only.
+// The frontier is scheduled by one of three host-side paths: the
+// single-writer kernel on the calling goroutine (see serialRound),
+// vertex-dynamic chunks on the pool, or an edge-balanced static partition
+// over a degree prefix sum, chosen per Force (adaptively under
+// StrategyAuto). All three examine the same edge set, relax with the same
+// min rule, and charge the simulated machine identically, so the schedule
+// affects wall-clock only. Serial rounds are also independent of the
+// worker count; parallel rounds' X2 depends on which relaxation lands
+// first.
 func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) AdvanceResult {
+	if roundHook != nil {
+		roundHook(kn, front, wlo, whi)
+	}
 	nw := kn.Pool.Size()
 	sc := kn.sc
 	for w := 0; w < nw; w++ {
@@ -310,15 +338,16 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 		sc.counts[w] = counters{}
 	}
 	kn.front, kn.wlo, kn.whi = front, wlo, whi
-	useEdge := kn.planAdvance(len(front))
+	serial := kn.serialRound(len(front))
+	useEdge := !serial && kn.planAdvance(len(front))
 	kn.next.Store(0)
 	obs.ApplyPhaseLabel(obs.PhaseAdvance)
 	spAdv := kn.tr.Begin(obs.PhaseAdvance)
 	switch {
+	case serial:
+		kn.serialAdvance()
 	case useEdge:
 		kn.Pool.Run(kn.edgeWorker)
-	case nw == 1 || len(front) <= advanceGrain:
-		kn.vertexWorker(0) // drains every chunk in the calling goroutine
 	default:
 		kn.Pool.Run(kn.vertexWorker)
 	}
@@ -343,15 +372,7 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 
 	obs.ApplyPhaseLabel(obs.PhaseFilter)
 	spFil := kn.tr.Begin(obs.PhaseFilter)
-	// Dedup on this goroutine, after the join. Draining the bitmap emits
-	// Out in vertex order and leaves it clear for the next iteration.
-	for w := 0; w < nw; w++ {
-		for _, v := range sc.bufs[w] {
-			sc.seen.Set(int(v))
-		}
-	}
-	sc.out = sc.seen.Drain(sc.out[:0])
-	res.Out = sc.out
+	res.Out = kn.filter()
 	filSimStart := kn.SimNow()
 	var filDur time.Duration
 	if kn.Mach != nil {
@@ -375,14 +396,94 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 	return res
 }
 
-// planAdvance decides the scheduling path for a frontier of n vertices and,
-// when the edge path is in play, builds the degree prefix sum (reused by
-// the edge workers). The decision depends only on the frontier, the graph,
-// and the pool size, so it is deterministic across runs.
-func (kn *Kernels) planAdvance(n int) bool {
-	if kn.Pool.Size() == 1 || n == 0 {
-		return false
+// filter deduplicates the round's updates on this goroutine, after the
+// join. Draining the bitmap emits them in vertex order and leaves it clear
+// for the next round.
+func (kn *Kernels) filter() []graph.VID {
+	sc := kn.sc
+	for _, buf := range sc.bufs[:kn.Pool.Size()] {
+		for _, v := range buf {
+			sc.seen.Set(int(v))
+		}
 	}
+	sc.out = sc.seen.Drain(sc.out[:0])
+	return sc.out
+}
+
+// serialRound reports whether a round over n frontier vertices runs on the
+// single-writer path. It does whenever the pool has one worker or the
+// frontier is empty. Otherwise a pinned StrategyEdge always takes the edge
+// path, a pinned StrategyVertex goes to the pool once the frontier spans
+// more than one chunk, and StrategyAuto also stays serial while the round
+// cannot reach serialEdges edges. The decision reads only n, the graph and
+// the pool size, so it needs no scan and every run takes the same path.
+func (kn *Kernels) serialRound(n int) bool {
+	if kn.Pool.Size() == 1 || n == 0 {
+		return true
+	}
+	switch kn.Force {
+	case StrategyEdge:
+		return false
+	case StrategyVertex:
+		return n <= advanceGrain
+	}
+	return n <= advanceGrain || int64(n)*kn.maxDeg < serialEdges
+}
+
+// serialAdvance relaxes the whole frontier on the calling goroutine, which
+// is then the only writer of the distance array: no worker runs until the
+// next Pool.Run, whose launch orders these plain stores before the
+// workers' atomic reads. Each edge stores min(old, nd) unconditionally and
+// writes v to the next output slot, keeping the slot only when nd < old.
+// The compiler turns both selections into conditional moves, so the
+// relaxation test (true for roughly half of all edges on the paper's
+// inputs, hence unpredictable) costs no branch mispredicts. The result
+// equals the atomic vertex kernel run on one goroutine: same distances,
+// same updates in the same order.
+func (kn *Kernels) serialAdvance() {
+	rowPtr, col, wgt := kn.G.RowPtr, kn.G.Col, kn.G.Wgt
+	dist := kn.Dist
+	wlo := kn.wlo
+	span := uint32(kn.whi - kn.wlo) // w in [wlo, whi] iff uint32(w-wlo) <= span
+	if kn.whi < kn.wlo {
+		wlo, span = 0, 0 // empty range: every weight is positive, so out of it
+	}
+	buf := kn.sc.bufs[0]
+	buf = buf[:cap(buf)]
+	k := 0
+	var edges int64
+	for _, u := range kn.front {
+		lo, hi := rowPtr[u], rowPtr[u+1]
+		edges += hi - lo
+		if int64(len(buf)-k) < hi-lo {
+			buf = slices.Grow(buf[:k], int(hi-lo))
+			buf = buf[:cap(buf)]
+		}
+		du := dist[u]
+		for e := lo; e < hi; e++ {
+			v, w := col[e], wgt[e]
+			old := dist[v]
+			nd := du + graph.Dist(w)
+			if uint32(w-wlo) > span {
+				nd = old
+			}
+			dist[v] = min(old, nd)
+			buf[k] = v
+			if nd < old {
+				k++
+			}
+		}
+	}
+	kn.sc.bufs[0] = buf[:k]
+	kn.sc.counts[0].edges += edges
+}
+
+// planAdvance decides between the pool's two paths for a frontier of n
+// vertices (true: edge-balanced) and, when the edge path is in play, builds
+// the degree prefix sum (reused by the edge workers). The decision depends
+// only on the frontier, the graph, and the pool size, so it is
+// deterministic across runs.
+func (kn *Kernels) planAdvance(n int) bool {
 	switch kn.Force {
 	case StrategyVertex:
 		return false
