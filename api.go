@@ -48,7 +48,6 @@ import (
 	"energysssp/internal/perf"
 	"energysssp/internal/power"
 	"energysssp/internal/sim"
-	"energysssp/internal/slo"
 	"energysssp/internal/sssp"
 	"energysssp/internal/trace"
 )
@@ -135,42 +134,8 @@ type (
 	IncidentCapturer = incident.Capturer
 	// IncidentStats counts an IncidentCapturer's lifetime activity.
 	IncidentStats = incident.Stats
-	// TelemetryExporter pushes a worker's telemetry (metric snapshots,
-	// time-series deltas, events) to a fleet aggregator as NDJSON (see
-	// NewTelemetryExporter and cmd/obsagg).
-	TelemetryExporter = obs.Exporter
-	// TelemetryExportConfig configures NewTelemetryExporter; zero values
-	// select the defaults noted on each field (2s push period,
-	// hostname-pid instance label).
-	TelemetryExportConfig = obs.ExportConfig
-	// FleetAggregator merges telemetry pushed by many workers into one
-	// instance-labeled store (see NewFleetAggregator, ServeFleetAggregator).
-	FleetAggregator = obs.Aggregator
-	// FleetAggregatorOptions configures NewFleetAggregator; zero values
-	// select the defaults.
-	FleetAggregatorOptions = obs.AggOptions
-	// FleetHealth is the aggregator /healthz payload: overall status plus
-	// one staleness row per worker instance.
-	FleetHealth = obs.AggHealth
-	// SLOObjective declares one service-level objective evaluated by an
-	// SLOEngine (see NewSLOEngine).
-	SLOObjective = slo.Objective
-	// SLOWindows configures the burn-rate window pairs; the zero value is
-	// the standard fast-5m/1h-at-14.4x, slow-1h/6h-at-6x policy.
-	SLOWindows = slo.Windows
-	// SLOEngine evaluates objectives against a series source with
-	// multi-window burn-rate alerting, publishing breach findings into an
-	// event hub (see NewSLOEngine).
-	SLOEngine = slo.Engine
-	// SLOStatus is one objective's latest evaluation (see
-	// SLOEngine.Statuses).
-	SLOStatus = slo.Status
-	// SLOSource is any series store an SLOEngine can evaluate against;
-	// TimeSeriesStore and FleetAggregator both satisfy it.
-	SLOSource = slo.Source
 	// EventHub is the non-blocking telemetry event fan-out shared by
-	// /events streaming, incident capture, and SLO findings (see
-	// Observer.Hub and FleetAggregator.Hub).
+	// /events streaming and incident capture (see Observer.Hub).
 	EventHub = obs.Hub
 )
 
@@ -389,41 +354,6 @@ func ServeMetrics(addr string, o *Observer) (*MetricsServer, error) { return obs
 // window. Returns nil for a nil observer.
 func NewTimeSeriesStore(o *Observer, opt TimeSeriesOptions) *TimeSeriesStore {
 	return obs.NewTSDB(o, opt)
-}
-
-// NewTelemetryExporter subscribes an exporter to o's telemetry plane:
-// every push period it POSTs the metric snapshot, the time-series samples
-// the aggregator has not yet acknowledged, and any buffered hub events to
-// cfg.URL (a cmd/obsagg /ingest endpoint) as versioned NDJSON. Counter
-// totals travel as exact integers, so fleet sums are bit-identical to the
-// per-worker values. Call Start to begin pushing; Stop sends one final
-// push so the aggregator sees the terminal state. Returns nil (a no-op)
-// for a nil observer or empty URL.
-func NewTelemetryExporter(o *Observer, cfg TelemetryExportConfig) *TelemetryExporter {
-	return obs.NewExporter(o, cfg)
-}
-
-// NewFleetAggregator builds the merge store cmd/obsagg serves: worker
-// pushes ingest into per-instance labeled series and a fleet event
-// stream. Serve it with ServeFleetAggregator.
-func NewFleetAggregator(opt FleetAggregatorOptions) *FleetAggregator {
-	return obs.NewAggregator(opt)
-}
-
-// ServeFleetAggregator starts the fleet HTTP surface on addr: POST
-// /ingest for worker pushes plus merged /metrics, /series, /events, and
-// /healthz. Use port 0 to pick a free port; close when done.
-func ServeFleetAggregator(addr string, a *FleetAggregator) (*MetricsServer, error) {
-	return obs.ServeAggregator(addr, a)
-}
-
-// NewSLOEngine builds a multi-window burn-rate evaluator over src — a
-// TimeSeriesStore or FleetAggregator — publishing breach findings into
-// hub (an Observer.Hub or FleetAggregator.Hub; nil evaluates without
-// publishing) so an IncidentCapturer on the same hub bundles each breach.
-// Call Start(interval) to evaluate periodically, Stop when done.
-func NewSLOEngine(src SLOSource, hub *EventHub, objs []SLOObjective, win SLOWindows) (*SLOEngine, error) {
-	return slo.New(src, hub, objs, win)
 }
 
 // NewContinuousProfiler registers live phase-attribution gauges

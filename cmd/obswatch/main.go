@@ -15,18 +15,9 @@
 //
 // Examples:
 //
-// With -fleet, obswatch attaches to a cmd/obsagg aggregator instead of a
-// single worker: events arrive instance-stamped, so the dashboard keys
-// rows by instance/solve and shows an INSTANCE column, and -once renders
-// the aggregator's per-instance staleness table instead of the worker
-// health line.
-//
-// Examples:
-//
 //	obswatch -addr localhost:9090
 //	obswatch -addr localhost:9090 -interval 100ms -raw
 //	obswatch -addr localhost:9090 -once
-//	obswatch -addr localhost:9100 -fleet
 package main
 
 import (
@@ -51,11 +42,10 @@ import (
 // solveRow is the latest known state of one solve, built from its
 // lifecycle events and heartbeats.
 type solveRow struct {
-	ev       obs.Event // last heartbeat (or lifecycle event before the first one)
-	instance string    // worker instance label in -fleet mode ("" direct)
-	done     bool
-	seen     time.Time
-	order    int // arrival order, for a stable display
+	ev    obs.Event // last heartbeat (or lifecycle event before the first one)
+	done  bool
+	seen  time.Time
+	order int // arrival order, for a stable display
 }
 
 // seriesSnap is the decoded /series payload (see obs.TSDB.WriteJSON).
@@ -89,18 +79,11 @@ func main() {
 		once     = flag.Bool("once", false, "print one plain-text snapshot of /healthz and /series and exit (for CI/scripting)")
 		window   = flag.Duration("window", time.Minute, "time-series window to request for sparklines")
 		match    = flag.String("match", "solve_x2,solve_frontier,solve_delta,perf_phase_cpu_fraction", "comma-separated substrings selecting which series become sparklines")
-		fleet    = flag.Bool("fleet", false, "attach to a cmd/obsagg aggregator: key solves by instance and render fleet health")
 	)
 	flag.Parse()
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	if *once {
-		if *fleet {
-			if err := fleetSnapshot(os.Stdout, client, *addr, *window, *match); err != nil {
-				fatal(err)
-			}
-			return
-		}
 		if err := snapshot(os.Stdout, client, *addr, *window, *match); err != nil {
 			fatal(err)
 		}
@@ -134,7 +117,6 @@ func main() {
 		window:  *window,
 		matches: splitMatches(*match),
 		rows:    map[string]*solveRow{},
-		fleet:   *fleet,
 	}
 
 	// Reconnect loop: jittered exponential backoff, reset after any stream
@@ -209,7 +191,6 @@ type dash struct {
 	client   *http.Client
 	window   time.Duration
 	matches  []string
-	fleet    bool
 	rows     map[string]*solveRow
 	findings []obs.Event
 	total    int
@@ -262,29 +243,23 @@ func (d *dash) stream(body io.Reader, raw bool, t *term) int {
 }
 
 func (d *dash) apply(ev obs.Event) {
-	// In fleet mode two workers can both be on "solve-1": the instance
-	// stamp the aggregator adds keeps their rows apart.
-	key := ev.Solve
-	if d.fleet && ev.Instance != "" {
-		key = ev.Instance + "/" + ev.Solve
-	}
 	switch ev.Type {
 	case "hello":
 		// Connection banner; nothing to track.
 	case "solve-start":
-		d.rows[key] = &solveRow{ev: ev, instance: ev.Instance, seen: time.Now(), order: len(d.rows)}
+		d.rows[ev.Solve] = &solveRow{ev: ev, seen: time.Now(), order: len(d.rows)}
 	case "heartbeat":
-		r := d.rows[key]
+		r := d.rows[ev.Solve]
 		if r == nil {
-			r = &solveRow{instance: ev.Instance, order: len(d.rows)}
-			d.rows[key] = r
+			r = &solveRow{order: len(d.rows)}
+			d.rows[ev.Solve] = r
 		}
 		r.ev, r.seen = ev, time.Now()
 	case "solve-end":
-		r := d.rows[key]
+		r := d.rows[ev.Solve]
 		if r == nil {
-			r = &solveRow{ev: ev, instance: ev.Instance, order: len(d.rows)}
-			d.rows[key] = r
+			r = &solveRow{ev: ev, order: len(d.rows)}
+			d.rows[ev.Solve] = r
 		}
 		// Keep the richer heartbeat payload; fold in the final totals.
 		if ev.Iter > 0 {
@@ -331,9 +306,6 @@ func (d *dash) draw() {
 	}
 	sort.Slice(names, func(i, j int) bool { return d.rows[names[i]].order < d.rows[names[j]].order })
 
-	if d.fleet {
-		fmt.Fprintf(&b, "%-12s ", "INSTANCE")
-	}
 	fmt.Fprintf(&b, "%-22s %-9s %6s %9s %9s %9s %9s %8s %10s %9s\n",
 		"SOLVE", "STRATEGY", "STATE", "ITER", "FRONTIER", "FAR", "X2", "DELTA", "ENERGY", "SIM")
 	for _, name := range names {
@@ -345,9 +317,6 @@ func (d *dash) draw() {
 			state = "stale"
 		}
 		ev := r.ev
-		if d.fleet {
-			fmt.Fprintf(&b, "%-12s ", trunc(r.instance, 12))
-		}
 		fmt.Fprintf(&b, "%-22s %-9s %6s %9d %9d %9d %9d %8.2f %9.3fJ %7.1fms\n",
 			trunc(ev.Solve, 22), trunc(ev.Strategy, 9), state,
 			ev.Iter, ev.Frontier, ev.FarLen, ev.X2, ev.Delta, ev.EnergyJ, ev.SimMs)
@@ -450,56 +419,6 @@ func snapshot(w io.Writer, client *http.Client, addr string, window time.Duratio
 	if snap, err := fetchSeries(client, addr, window, sparkWidth); err != nil {
 		// A server without a TimeSeriesStore serves no /series; the health
 		// snapshot above already said so (0 samples).
-		fmt.Fprintf(&b, "series: unavailable (%v)\n", err)
-	} else {
-		writeSparks(&b, snap, splitMatches(match), 1<<30)
-	}
-	_, err = io.WriteString(w, b.String())
-	return err
-}
-
-// fleetSnapshot is snapshot for an obsagg aggregator: the /healthz
-// payload there is the fleet shape — overall status plus one staleness
-// row per worker instance — and the merged /series carries
-// instance-labeled names.
-func fleetSnapshot(w io.Writer, client *http.Client, addr string, window time.Duration, match string) error {
-	hb, err := fetchBody(client, "http://"+addr+"/healthz")
-	if err != nil {
-		return err
-	}
-	var h obs.AggHealth
-	if err := json.Unmarshal(hb, &h); err != nil {
-		return fmt.Errorf("/healthz: %w", err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet status=%s uptime=%.1fs instances=%d series=%d points=%d ingests=%d rejects=%d\n",
-		h.Status, h.UptimeSeconds, len(h.Instances), h.SeriesCount,
-		h.PointsTotal, h.IngestsTotal, h.RejectsTotal)
-	if h.RestoredSer > 0 {
-		fmt.Fprintf(&b, "restored %d series from the last checkpoint\n", h.RestoredSer)
-	}
-	fmt.Fprintf(&b, "%-16s %6s %8s %9s %9s %9s %9s\n",
-		"INSTANCE", "STATE", "LAST", "SEQ", "RESTARTS", "SAMPLES", "EVENTS")
-	for _, in := range h.Instances {
-		state := "fresh"
-		if in.Stale {
-			state = "STALE"
-		}
-		fmt.Fprintf(&b, "%-16s %6s %7.1fs %9d %9d %9d %9d\n",
-			trunc(in.Instance, 16), state, in.SecondsSince,
-			in.Seq, in.Restarts, in.SamplesTotal, in.EventsTotal)
-	}
-	if len(h.Instances) == 0 {
-		b.WriteString("(no workers have pushed yet — start one with 'sssp -push-url http://" + addr + "/ingest')\n")
-	}
-	if h.FindingsTotal > 0 {
-		fmt.Fprintf(&b, "findings: %d", h.FindingsTotal)
-		if h.LastFinding != "" {
-			fmt.Fprintf(&b, " (last %s)", h.LastFinding)
-		}
-		b.WriteString("\n")
-	}
-	if snap, err := fetchSeries(client, addr, window, sparkWidth); err != nil {
 		fmt.Fprintf(&b, "series: unavailable (%v)\n", err)
 	} else {
 		writeSparks(&b, snap, splitMatches(match), 1<<30)

@@ -46,9 +46,6 @@ func main() {
 		flightOut = flag.String("flight-out", "", "write the controller flight log as JSONL to this path (replay with 'flight replay')")
 		energyOut = flag.String("energy-out", "", "write the per-phase/per-strategy energy attribution as JSON to this path (requires -device)")
 
-		pushURL      = flag.String("push-url", "", "push telemetry to a fleet aggregator's ingest endpoint (e.g. http://host:9100/ingest, see cmd/obsagg)")
-		instance     = flag.String("instance", "", "instance label for pushed telemetry (default <hostname>-<pid>)")
-		pushPeriod   = flag.Duration("push-period", 0, "telemetry push period (0 = default 2s)")
 		incidentDir  = flag.String("incident-dir", "", "write a forensic bundle (finding, flight log, series window, energy report, goroutine dump) here when an online detector fires")
 		seriesPeriod = flag.Duration("series-period", 250*time.Millisecond, "time-series sampling period for /series and incident bundles")
 		cprofile     = flag.Bool("cprofile", false, "run the continuous profiler: live per-phase CPU gauges on /metrics and /series")
@@ -99,7 +96,7 @@ func main() {
 	}
 
 	var o *energysssp.Observer
-	if *obsListen != "" || *traceOut != "" || *energyOut != "" || *incidentDir != "" || *cprofile || *pushURL != "" {
+	if *obsListen != "" || *traceOut != "" || *energyOut != "" || *incidentDir != "" || *cprofile {
 		o = energysssp.NewObserver(0)
 		cfg.Obs = o
 	}
@@ -125,15 +122,6 @@ func main() {
 		tsdb.Start()
 		defer tsdb.Stop()
 	}
-	var exp *energysssp.TelemetryExporter
-	if *pushURL != "" {
-		exp = energysssp.NewTelemetryExporter(o, energysssp.TelemetryExportConfig{
-			URL: *pushURL, Instance: *instance, Period: *pushPeriod,
-		})
-		exp.Start()
-		defer exp.Stop() // final push so the aggregator sees the terminal state
-		fmt.Printf("telemetry: pushing to %s as instance %q\n", *pushURL, exp.Instance())
-	}
 	var prof *energysssp.ContinuousProfiler
 	if *cprofile {
 		prof = energysssp.NewContinuousProfiler(o, energysssp.ContinuousProfileOptions{})
@@ -143,7 +131,7 @@ func main() {
 	var capt *energysssp.IncidentCapturer
 	if *incidentDir != "" {
 		capt, err = energysssp.NewIncidentCapturer(energysssp.IncidentConfig{
-			Dir: *incidentDir, Observer: o, Flight: rec, Series: tsdb,
+			Dir: *incidentDir, Observer: o, Flight: rec,
 		})
 		if err != nil {
 			fatal(err)
@@ -179,7 +167,6 @@ func main() {
 		if capt != nil {
 			reportIncidents(capt) // drain buffered findings into bundles
 		}
-		exp.Stop() // nil-safe; final telemetry push so the fleet sees the death
 		if srv != nil {
 			if err := srv.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "sssp: metrics server:", err)

@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -62,6 +63,9 @@ var ErrBadGraph = errors.New("graph: invalid structure")
 func New(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative vertex count %d", ErrBadGraph, n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: vertex count %d exceeds the VID range", ErrBadGraph, n)
 	}
 	g := &Graph{
 		RowPtr: make([]int64, n+1),

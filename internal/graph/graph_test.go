@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,9 @@ func TestNewBasic(t *testing.T) {
 func TestNewErrors(t *testing.T) {
 	if _, err := New(-1, nil); err == nil {
 		t.Fatal("negative n accepted")
+	}
+	if _, err := New(math.MaxInt32+1, nil); err == nil {
+		t.Fatal("n past the VID range accepted")
 	}
 	if _, err := New(2, []Edge{{0, 2, 1}}); err == nil {
 		t.Fatal("out-of-range target accepted")

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -14,6 +16,48 @@ import (
 // format (the Cal road network) and Matrix Market coordinate format (the UF
 // sparse matrix collection's wikipedia-20051105), plus a trivial TSV edge
 // list for tooling.
+//
+// Every reader rejects input it cannot represent exactly: ids and weights
+// that do not fit in int32, and negative header counts, are errors rather
+// than silently truncated or wrapped values.
+
+// maxPrealloc caps the edge capacity a reader reserves up front from a
+// header's declared edge count, which is outside input. 4M edges (48 MB)
+// covers a 1/8-scale Wiki-like graph (about 2.5M arcs) in one allocation.
+const maxPrealloc = 1 << 22
+
+// appendEdge appends e to edges, where declared is the header's edge
+// count. Once the input fills the up-front reservation, the slice grows
+// toward declared, at most doubling per step: an honest large file is
+// copied a couple of times rather than at every small growth step of
+// append, and a lying header costs at most twice the arcs the file holds.
+func appendEdge(edges []Edge, e Edge, declared int) []Edge {
+	if n := len(edges); n == cap(edges) && declared > n {
+		edges = slices.Grow(edges, min(declared, 2*n)-n)
+	}
+	return append(edges, e)
+}
+
+// parseInt32 parses a decimal integer that must fit in int32, the width
+// of VID and Weight. It range-checks strconv.Atoi's result rather than
+// calling ParseInt with bitSize 32: Atoi's short-string fast path loads a
+// Cal-like DIMACS file about 15% faster.
+func parseInt32(s string) (int32, error) {
+	x, err := strconv.Atoi(s)
+	if err == nil && (x < math.MinInt32 || x > math.MaxInt32) {
+		err = fmt.Errorf("%s is out of int32 range", s)
+	}
+	return int32(x), err
+}
+
+// parseCount parses a non-negative header count.
+func parseCount(s string) (int, error) {
+	x, err := strconv.Atoi(s)
+	if err == nil && x < 0 {
+		err = fmt.Errorf("negative count %d", x)
+	}
+	return x, err
+}
 
 // ReadDIMACS parses a DIMACS shortest-path ".gr" stream:
 //
@@ -26,7 +70,7 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var (
-		n     int
+		n, m  int // declared vertex and arc counts
 		edges []Edge
 		seenP bool
 		line  int
@@ -46,15 +90,15 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: dimacs line %d: bad problem line %q", line, text)
 			}
 			var err error
-			n, err = strconv.Atoi(f[2])
+			n, err = parseCount(f[2])
 			if err != nil {
 				return nil, fmt.Errorf("graph: dimacs line %d: %v", line, err)
 			}
-			m, err := strconv.Atoi(f[3])
+			m, err = parseCount(f[3])
 			if err != nil {
 				return nil, fmt.Errorf("graph: dimacs line %d: %v", line, err)
 			}
-			edges = make([]Edge, 0, m)
+			edges = make([]Edge, 0, min(m, maxPrealloc))
 			seenP = true
 		case 'a':
 			if !seenP {
@@ -64,13 +108,13 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 			if len(f) != 4 {
 				return nil, fmt.Errorf("graph: dimacs line %d: bad arc %q", line, text)
 			}
-			u, err1 := strconv.Atoi(f[1])
-			v, err2 := strconv.Atoi(f[2])
-			w, err3 := strconv.Atoi(f[3])
-			if err1 != nil || err2 != nil || err3 != nil {
+			u, err1 := parseInt32(f[1])
+			v, err2 := parseInt32(f[2])
+			w, err3 := parseInt32(f[3])
+			if err1 != nil || err2 != nil || err3 != nil || u < 1 || v < 1 {
 				return nil, fmt.Errorf("graph: dimacs line %d: bad arc %q", line, text)
 			}
-			edges = append(edges, Edge{U: VID(u - 1), V: VID(v - 1), W: Weight(w)})
+			edges = appendEdge(edges, Edge{U: u - 1, V: v - 1, W: w}, m)
 		default:
 			return nil, fmt.Errorf("graph: dimacs line %d: unknown record %q", line, text)
 		}
@@ -103,8 +147,9 @@ func WriteDIMACS(w io.Writer, g *Graph) error {
 // ReadMatrixMarket parses a Matrix Market coordinate stream into a graph.
 // Supported headers: "matrix coordinate (integer|real|pattern)
 // (general|symmetric)". Pattern entries receive weight 1; real weights are
-// rounded to the nearest positive integer (minimum 1); symmetric matrices
-// produce both arcs. Entries on the diagonal become self-loops and are kept.
+// rounded to the nearest positive integer (minimum 1) and must fit in
+// int32 after rounding; symmetric matrices produce both arcs. Entries on
+// the diagonal become self-loops and are kept.
 func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -136,17 +181,24 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 		if _, err := fmt.Sscan(text, &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("graph: mm: bad size line %q: %v", text, err)
 		}
+		if rows < 0 || cols < 0 || nnz < 0 {
+			return nil, fmt.Errorf("graph: mm: negative count in size line %q", text)
+		}
 		break
 	}
 	n := rows
 	if cols > n {
 		n = cols
 	}
-	edges := make([]Edge, 0, nnz)
-	addEntry := func(u, v int, w Weight) {
-		edges = append(edges, Edge{U: VID(u - 1), V: VID(v - 1), W: w})
+	declared := nnz
+	if sym == "symmetric" {
+		declared = 2 * nnz
+	}
+	edges := make([]Edge, 0, min(declared, maxPrealloc))
+	addEntry := func(u, v VID, w Weight) {
+		edges = appendEdge(edges, Edge{U: u - 1, V: v - 1, W: w}, declared)
 		if sym == "symmetric" && u != v {
-			edges = append(edges, Edge{U: VID(v - 1), V: VID(u - 1), W: w})
+			edges = appendEdge(edges, Edge{U: v - 1, V: u - 1, W: w}, declared)
 		}
 	}
 	for sc.Scan() {
@@ -158,9 +210,9 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 		if len(f) < 2 {
 			return nil, fmt.Errorf("graph: mm: bad entry %q", text)
 		}
-		u, err1 := strconv.Atoi(f[0])
-		v, err2 := strconv.Atoi(f[1])
-		if err1 != nil || err2 != nil {
+		u, err1 := parseInt32(f[0])
+		v, err2 := parseInt32(f[1])
+		if err1 != nil || err2 != nil || u < 1 || v < 1 {
 			return nil, fmt.Errorf("graph: mm: bad entry %q", text)
 		}
 		w := Weight(1)
@@ -172,10 +224,11 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: mm: bad value in %q", text)
 			}
-			if x < 0 {
-				x = -x
+			x = math.Abs(x) + 0.5
+			if !(x < math.MaxInt32+1) { // also rejects NaN
+				return nil, fmt.Errorf("graph: mm: value out of weight range in %q", text)
 			}
-			w = Weight(x + 0.5)
+			w = Weight(x)
 			if w < 1 {
 				w = 1
 			}
@@ -206,19 +259,14 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 		if len(f) != 3 {
 			return nil, fmt.Errorf("graph: tsv line %d: want 3 fields, got %d", line, len(f))
 		}
-		u, err1 := strconv.Atoi(f[0])
-		v, err2 := strconv.Atoi(f[1])
-		w, err3 := strconv.Atoi(f[2])
+		u, err1 := parseInt32(f[0])
+		v, err2 := parseInt32(f[1])
+		w, err3 := parseInt32(f[2])
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("graph: tsv line %d: bad numbers", line)
 		}
-		if u > maxID {
-			maxID = u
-		}
-		if v > maxID {
-			maxID = v
-		}
-		edges = append(edges, Edge{U: VID(u), V: VID(v), W: Weight(w)})
+		maxID = max(maxID, int(u), int(v))
+		edges = append(edges, Edge{U: u, V: v, W: w})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

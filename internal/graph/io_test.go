@@ -146,6 +146,53 @@ func TestReadTSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadersRejectOutOfRange feeds each loader ids, weights and header
+// counts outside what the CSR layout can hold. Each must come back as an
+// error: not a panic, not an out-of-memory crash, and not a silently
+// truncated graph.
+func TestReadersRejectOutOfRange(t *testing.T) {
+	dimacs := func(s string) (*Graph, error) { return ReadDIMACS(strings.NewReader(s)) }
+	mm := func(s string) (*Graph, error) { return ReadMatrixMarket(strings.NewReader(s)) }
+	tsv := func(s string) (*Graph, error) { return ReadTSV(strings.NewReader(s)) }
+	const mmReal = "%%MatrixMarket matrix coordinate real general\n"
+	cases := []struct {
+		name string
+		read func(string) (*Graph, error)
+		in   string
+	}{
+		{"dimacs id and weight past int32", dimacs, "p sp 4 1\na 4294967297 2 4294967301\n"},
+		{"dimacs weight past int32", dimacs, "p sp 4 1\na 1 2 4294967301\n"},
+		{"dimacs zero id", dimacs, "p sp 4 1\na 0 2 3\n"},
+		{"dimacs negative arc count", dimacs, "p sp 4 -1\n"},
+		{"dimacs negative vertex count", dimacs, "p sp -4 1\n"},
+		{"dimacs vertex count past int32", dimacs, "p sp 4294967297 0\n"},
+		{"mm negative nnz", mm, mmReal + "2 2 -5\n"},
+		{"mm negative rows", mm, mmReal + "-2 2 1\n"},
+		{"mm weight past int32", mm, mmReal + "2 2 1\n1 2 1e20\n"},
+		{"mm infinite weight", mm, mmReal + "2 2 1\n1 2 Inf\n"},
+		{"mm NaN weight", mm, mmReal + "2 2 1\n1 2 NaN\n"},
+		{"mm id past int32", mm, mmReal + "2 2 1\n4294967297 2 3\n"},
+		{"mm zero id", mm, mmReal + "2 2 1\n0 2 3\n"},
+		{"tsv id past int32", tsv, "0 4294967297 3\n"},
+		{"tsv weight past int32", tsv, "0 1 4294967301\n"},
+		{"tsv negative id", tsv, "-1 1 3\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if g, err := tc.read(tc.in); err == nil {
+				t.Fatalf("%q accepted as %v", tc.in, g)
+			}
+		})
+	}
+
+	// A header that overstates the edge count is only a capacity hint:
+	// the file still loads with the arcs it actually holds.
+	g, err := dimacs("p sp 2 9223372036854775807\na 1 2 3\n")
+	if err != nil || g.NumEdges() != 1 {
+		t.Fatalf("overstated arc count: %v, %v", g, err)
+	}
+}
+
 // failingReader injects an I/O fault after n bytes.
 type failingReader struct {
 	data []byte

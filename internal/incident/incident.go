@@ -40,57 +40,22 @@ const DefaultWindow = 30 * time.Second
 // and one bundle per incident beats a disk full of near-duplicates.
 const DefaultMinGap = 30 * time.Second
 
-// SeriesWriter is the structural shape of a time-series store the
-// capturer can snapshot into series.json; *obs.TSDB and *obs.Aggregator
-// both satisfy it.
-type SeriesWriter interface {
-	WriteJSON(w io.Writer, q obs.SeriesQuery) error
-}
-
-// HealthWriter is the structural shape of a health surface the capturer
-// can snapshot into health.json; *obs.Observer and *obs.Aggregator both
-// satisfy it.
-type HealthWriter interface {
-	WriteHealthJSON(w io.Writer) error
-}
-
-// SLOWriter is the structural shape of an SLO status surface the
-// capturer can snapshot into slo.json; *slo.Engine satisfies it.
-type SLOWriter interface {
-	WriteStatusJSON(w io.Writer) error
-}
-
-// Config wires a Capturer. Dir is required, plus a finding source:
-// either Observer (the single-process wiring) or Hub (the fleet wiring,
-// pointed at an aggregator's hub). Everything else is optional — files
-// whose source is absent are simply omitted from bundles.
+// Config wires a Capturer. Dir and Observer are required; Flight is
+// optional, and files whose source is absent are simply omitted from
+// bundles.
 type Config struct {
 	// Dir is the artifact directory; bundles are subdirectories named
 	// incident-<timestamp>-<seq>-<kind>. Created if missing.
 	Dir string
 	// Observer supplies the event hub (the finding source), the energy
-	// report, and — when Series and Health are nil — the attached
-	// time-series store and health snapshot. Optional when Hub is set.
+	// report, the health snapshot, and — when one is attached — the
+	// time-series store whose last Window lands in series.json.
 	Observer *obs.Observer
-	// Hub overrides the finding source; set it to an aggregator's hub to
-	// bundle fleet incidents. Defaults to Observer's hub.
-	Hub *obs.Hub
 	// Flight, when set, contributes the full flight log. The whole log is
 	// written, not just a tail: replay requires a contiguous log from
 	// iteration 0, and a truncated tail would break the black box's whole
 	// point.
 	Flight *flight.Recorder
-	// Series, when set, contributes the last Window of time series
-	// (series.json). Accepts *obs.TSDB or *obs.Aggregator. Defaults to
-	// Observer's attached store.
-	Series SeriesWriter
-	// Health, when set, contributes health.json. Accepts *obs.Observer or
-	// *obs.Aggregator. Defaults to Observer.
-	Health HealthWriter
-	// SLO, when set, contributes the latest SLO burn-rate evaluations
-	// (slo.json) — pass the *slo.Engine whose findings this capturer
-	// bundles.
-	SLO SLOWriter
 	// Window is the series history to capture (DefaultWindow if zero).
 	Window time.Duration
 	// MinGap rate-limits bundles (DefaultMinGap if zero; negative
@@ -130,11 +95,8 @@ func New(cfg Config) (*Capturer, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("incident: Config.Dir is required")
 	}
-	if cfg.Hub == nil && cfg.Observer != nil {
-		cfg.Hub = cfg.Observer.Hub()
-	}
-	if cfg.Hub == nil {
-		return nil, errors.New("incident: Config needs a finding source (Observer or Hub)")
+	if cfg.Observer == nil {
+		return nil, errors.New("incident: Config.Observer is required")
 	}
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
@@ -142,22 +104,11 @@ func New(cfg Config) (*Capturer, error) {
 	if cfg.MinGap == 0 {
 		cfg.MinGap = DefaultMinGap
 	}
-	if cfg.Series == nil && cfg.Observer != nil {
-		// Guard the typed-nil trap: an observer without an attached store
-		// returns a nil *obs.TSDB, which must not become a non-nil
-		// interface.
-		if db := cfg.Observer.TSDB(); db != nil {
-			cfg.Series = db
-		}
-	}
-	if cfg.Health == nil && cfg.Observer != nil {
-		cfg.Health = cfg.Observer
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("incident: %w", err)
 	}
 	c := &Capturer{cfg: cfg, stop: make(chan struct{})}
-	c.events, c.cancel = cfg.Hub.Subscribe(256)
+	c.events, c.cancel = cfg.Observer.Hub().Subscribe(256)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -245,7 +196,7 @@ func (c *Capturer) handle(ev obs.Event) {
 	if err == nil {
 		// Announce the bundle on the same stream that triggered it, so
 		// obswatch (and any other subscriber) can point at the artifact.
-		c.cfg.Hub.Publish(obs.Event{
+		c.cfg.Observer.Hub().Publish(obs.Event{
 			Type: "incident", Solve: ev.Solve, Kind: ev.Kind, Detail: dir,
 		})
 	}
@@ -294,27 +245,19 @@ func (c *Capturer) capture(ev obs.Event, now time.Time, seq int64) (string, erro
 			return "", err
 		}
 	}
-	if c.cfg.Series != nil {
+	o := c.cfg.Observer
+	if db := o.TSDB(); db != nil {
 		if err := write("series.json", func(w io.Writer) error {
-			return c.cfg.Series.WriteJSON(w, obs.SeriesQuery{Window: c.cfg.Window})
+			return db.WriteJSON(w, obs.SeriesQuery{Window: c.cfg.Window})
 		}); err != nil {
 			return "", err
 		}
 	}
-	if c.cfg.Observer != nil {
-		if err := write("energy.json", c.cfg.Observer.WriteEnergyJSON); err != nil {
-			return "", err
-		}
+	if err := write("energy.json", o.WriteEnergyJSON); err != nil {
+		return "", err
 	}
-	if c.cfg.Health != nil {
-		if err := write("health.json", c.cfg.Health.WriteHealthJSON); err != nil {
-			return "", err
-		}
-	}
-	if c.cfg.SLO != nil {
-		if err := write("slo.json", c.cfg.SLO.WriteStatusJSON); err != nil {
-			return "", err
-		}
+	if err := write("health.json", o.WriteHealthJSON); err != nil {
+		return "", err
 	}
 	if err := write("goroutines.txt", func(w io.Writer) error {
 		return pprof.Lookup("goroutine").WriteTo(w, 1)

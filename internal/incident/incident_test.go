@@ -50,7 +50,7 @@ func TestIncidentBundleFromLiveSolve(t *testing.T) {
 		hub.Publish(obs.Event{Type: "finding", Kind: string(f.Kind), Iter: f.FirstK, Detail: f.Detail})
 	}))
 
-	c, err := New(Config{Dir: dir, Observer: o, Flight: rec, Series: db, Window: time.Minute})
+	c, err := New(Config{Dir: dir, Observer: o, Flight: rec, Window: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

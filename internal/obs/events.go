@@ -19,7 +19,6 @@ import (
 type Event struct {
 	T            string  `json:"t"` // host wall clock, RFC3339Nano
 	Type         string  `json:"type"`
-	Instance     string  `json:"instance,omitempty"` // producing process, set by the fleet aggregator
 	Solve        string  `json:"solve,omitempty"`
 	Iter         int64   `json:"iter,omitempty"`
 	Frontier     int64   `json:"frontier,omitempty"`

@@ -183,7 +183,7 @@ type Observer struct {
 	tsdb   atomic.Pointer[TSDB]
 
 	// solveSeconds is the fleet solve-latency histogram, observed once per
-	// retired scope — the natural series for a latency SLO objective.
+	// retired scope.
 	solveSeconds *Histogram
 
 	mu          sync.Mutex

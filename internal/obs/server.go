@@ -93,12 +93,6 @@ func Serve(addr string, o *Observer) (*Server, error) {
 			return
 		}
 	})
-	return newServer(addr, mux)
-}
-
-// newServer binds addr and starts serving mux on its own goroutine; the
-// common tail of the per-process server and the fleet aggregator.
-func newServer(addr string, mux *http.ServeMux) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -157,8 +151,7 @@ func parseMatch(w http.ResponseWriter, r *http.Request) (string, bool) {
 // duration), points (positive integer), step (positive Go duration,
 // converted to a point budget over the window, mutually exclusive with
 // points), and match — writing the 400 response itself on malformed
-// input. Shared by the per-process server and the fleet aggregator so
-// both surfaces reject identically.
+// input.
 func parseSeriesQuery(w http.ResponseWriter, r *http.Request) (SeriesQuery, bool) {
 	var q SeriesQuery
 	var ok bool

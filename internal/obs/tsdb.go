@@ -111,12 +111,7 @@ type TSDB struct {
 	times   []int64 // unix ms per tick, ring of hist
 	sources map[*Registry]*tsSource
 	nSeries int
-	dropped int64  // series refused because the MaxSeries cap was hit
-	gen     uint64 // churn generation: sources swept over the store's lifetime
-
-	// restored holds a snapshot loaded by Restore, served as static
-	// history ahead of whatever the live rings accumulate after restart.
-	restored []QueriedSeries
+	dropped int64 // series refused because the MaxSeries cap was hit
 
 	hookScratch  []func()
 	scopeScratch []*Scope
@@ -275,7 +270,6 @@ func (t *TSDB) Sample(now time.Time) {
 		if src.gen != tick {
 			t.nSeries -= len(src.series)
 			delete(t.sources, reg)
-			t.gen++
 		}
 	}
 	t.tick++
@@ -402,7 +396,6 @@ func (t *TSDB) WriteJSON(w io.Writer, q SeriesQuery) error {
 		all = append(all, src.series...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	merged := make(map[string]bool, len(t.restored))
 	for _, sr := range all {
 		if q.Match != "" && !strings.Contains(sr.name, q.Match) {
 			continue
@@ -423,187 +416,15 @@ func (t *TSDB) WriteJSON(w io.Writer, q SeriesQuery) error {
 			v := sr.vals[int((sr.n-retained+j)%uint64(len(sr.vals)))]
 			pts = append(pts, [2]float64{float64(ms), v})
 		}
-		if hist := t.restoredPoints(sr.name, cutoff); len(hist) > 0 {
-			merged[sr.name] = true
-			pts = mergeHistory(hist, pts)
-		}
 		sj := seriesJSON{Name: sr.name, Kind: sr.kind, Points: downsample(pts, q.MaxPoints)}
 		if sr.hist != nil {
 			sj.Exemplars = sr.hist.Exemplars(nil)
 		}
 		out.Series = append(out.Series, sj)
 	}
-	// Restored series whose names have not reappeared live yet.
-	for _, rs := range t.restored {
-		if merged[rs.Name] || (q.Match != "" && !strings.Contains(rs.Name, q.Match)) {
-			continue
-		}
-		if pts := clipPoints(rs.Points, cutoff); len(pts) > 0 {
-			out.Series = append(out.Series, seriesJSON{Name: rs.Name, Kind: rs.Kind,
-				Points: downsample(pts, q.MaxPoints)})
-		}
-	}
-	sort.Slice(out.Series, func(i, j int) bool { return out.Series[i].Name < out.Series[j].Name })
 	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// restoredPoints returns the restored history for name past cutoff;
-// caller holds t.mu.
-func (t *TSDB) restoredPoints(name string, cutoff int64) [][2]float64 {
-	for _, rs := range t.restored {
-		if rs.Name == name {
-			return clipPoints(rs.Points, cutoff)
-		}
-	}
-	return nil
-}
-
-// clipPoints drops points older than cutoff (unix ms; 0 keeps all).
-func clipPoints(pts [][2]float64, cutoff int64) [][2]float64 {
-	if cutoff <= 0 {
-		return pts
-	}
-	i := 0
-	for i < len(pts) && int64(pts[i][0]) < cutoff {
-		i++
-	}
-	return pts[i:]
-}
-
-// mergeHistory prepends restored history to a live point list, keeping
-// only history strictly older than the first live point so a restart
-// overlap never double-reports a timestamp.
-func mergeHistory(hist, live [][2]float64) [][2]float64 {
-	if len(live) == 0 {
-		return hist
-	}
-	first := live[0][0]
-	cut := len(hist)
-	for cut > 0 && hist[cut-1][0] >= first {
-		cut--
-	}
-	return append(append([][2]float64{}, hist[:cut]...), live...)
-}
-
-// QueriedSeries is one series' retained points as returned by
-// QuerySeries — the query surface the SLO engine evaluates against,
-// implemented identically by the local TSDB and the fleet Aggregator.
-type QueriedSeries struct {
-	Name   string
-	Kind   string       // "counter" (per-tick deltas), "gauge", or "quantile"
-	Points [][2]float64 // [unix_ms, value], time-ordered
-}
-
-// QuerySeries returns every series whose name contains match ("" = all),
-// restricted to the trailing window (0 = everything retained), sorted by
-// name.
-func (t *TSDB) QuerySeries(match string, window time.Duration) []QueriedSeries {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var nowMs int64
-	if t.tick > 0 {
-		nowMs = t.times[int((t.tick-1)%uint64(t.hist))]
-	}
-	cutoff := int64(0)
-	if window > 0 {
-		cutoff = nowMs - window.Milliseconds()
-	}
-	all := make([]*tsSeries, 0, t.nSeries)
-	for _, src := range t.sources {
-		all = append(all, src.series...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	var out []QueriedSeries
-	merged := make(map[string]bool, len(t.restored))
-	for _, sr := range all {
-		if match != "" && !strings.Contains(sr.name, match) {
-			continue
-		}
-		retained := sr.n
-		if retained > uint64(t.hist) {
-			retained = uint64(t.hist)
-		}
-		var pts [][2]float64
-		for j := uint64(0); j < retained; j++ {
-			g := t.tick - retained + j
-			ms := t.times[int(g%uint64(t.hist))]
-			if ms < cutoff {
-				continue
-			}
-			pts = append(pts, [2]float64{float64(ms), sr.vals[int((sr.n-retained+j)%uint64(len(sr.vals)))]})
-		}
-		if hist := t.restoredPoints(sr.name, cutoff); len(hist) > 0 {
-			merged[sr.name] = true
-			pts = mergeHistory(hist, pts)
-		}
-		out = append(out, QueriedSeries{Name: sr.name, Kind: sr.kind, Points: pts})
-	}
-	for _, rs := range t.restored {
-		if merged[rs.Name] || (match != "" && !strings.Contains(rs.Name, match)) {
-			continue
-		}
-		if pts := clipPoints(rs.Points, cutoff); len(pts) > 0 {
-			out = append(out, QueriedSeries{Name: rs.Name, Kind: rs.Kind, Points: pts})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// SamplePoint is one (series, tick) sample, the unit of the remote-write
-// export stream. Counter-kind points carry the per-tick delta, matching
-// what the ring stores, so an aggregator can reconstruct exact totals by
-// summing deltas (int64 counter values stay below 2^53, so the float64
-// round trip is lossless).
-type SamplePoint struct {
-	Name string  `json:"name"`
-	Kind string  `json:"kind"`
-	TMs  int64   `json:"t_ms"`
-	V    float64 `json:"v"`
-}
-
-// DumpSince appends every retained sample with global tick >= since to
-// dst and returns it along with the new cursor (the current tick count).
-// Passing the returned cursor back yields only samples taken in between,
-// so a periodic exporter streams each tick exactly once; samples that
-// aged out of the ring between calls are lost, which the cursor jump
-// makes visible to the caller. Output is ordered by series name then
-// time, so identical stores dump identical streams.
-func (t *TSDB) DumpSince(since uint64, dst []SamplePoint) ([]SamplePoint, uint64) {
-	if t == nil {
-		return dst, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	all := make([]*tsSeries, 0, t.nSeries)
-	for _, src := range t.sources {
-		all = append(all, src.series...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	for _, sr := range all {
-		retained := sr.n
-		if retained > uint64(t.hist) {
-			retained = uint64(t.hist)
-		}
-		for j := uint64(0); j < retained; j++ {
-			g := t.tick - retained + j
-			if g < since {
-				continue
-			}
-			dst = append(dst, SamplePoint{
-				Name: sr.name,
-				Kind: sr.kind,
-				TMs:  t.times[int(g%uint64(t.hist))],
-				V:    sr.vals[int((sr.n-retained+j)%uint64(len(sr.vals)))],
-			})
-		}
-	}
-	return dst, t.tick
 }
 
 // downsample bucket-averages pts down to at most maxPoints (0 = no

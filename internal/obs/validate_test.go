@@ -29,10 +29,9 @@ func getStatus(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestQueryParamValidation drives every malformed-parameter path on both
-// HTTP surfaces: the per-process server and the fleet aggregator must
-// reject identically with HTTP 400 and a JSON body naming the offending
-// parameter — never a silent clamp.
+// TestQueryParamValidation drives every malformed-parameter path on the
+// per-process server: each must be rejected with HTTP 400 and a JSON body
+// naming the offending parameter — never a silent clamp.
 func TestQueryParamValidation(t *testing.T) {
 	o := New(0)
 	db := NewTSDB(o, TSDBOptions{History: 8})
@@ -43,15 +42,6 @@ func TestQueryParamValidation(t *testing.T) {
 	}
 	defer func() {
 		if cerr := worker.Close(); cerr != nil {
-			t.Error(cerr)
-		}
-	}()
-	agg, err := ServeAggregator("127.0.0.1:0", NewAggregator(AggOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cerr := agg.Close(); cerr != nil {
 			t.Error(cerr)
 		}
 	}()
@@ -79,25 +69,23 @@ func TestQueryParamValidation(t *testing.T) {
 		{"metrics long match", "/metrics?match=" + longMatch, "match"},
 		{"metrics control match", "/metrics?match=%0a", "match"},
 	}
-	for _, srv := range []struct {
-		label string
-		addr  string
-	}{{"worker", worker.Addr()}, {"aggregator", agg.Addr()}} {
+	base := "http://" + worker.Addr()
+	t.Run("worker", func(t *testing.T) {
 		// The match filter must actually filter, not just validate: a
 		// matching name keeps its lines, a non-matching one removes them.
-		t.Run(srv.label+"/match filters", func(t *testing.T) {
-			code, body := getStatus(t, "http://"+srv.addr+"/metrics?match=build_info")
+		t.Run("match filters", func(t *testing.T) {
+			code, body := getStatus(t, base+"/metrics?match=build_info")
 			if code != http.StatusOK || !strings.Contains(body, "build_info{") {
 				t.Fatalf("match=build_info lost the matching series (code %d):\n%.300s", code, body)
 			}
-			code, body = getStatus(t, "http://"+srv.addr+"/metrics?match=no-such-metric")
+			code, body = getStatus(t, base+"/metrics?match=no-such-metric")
 			if code != http.StatusOK || strings.Contains(body, "build_info{") {
 				t.Fatalf("match=no-such-metric still renders unmatched series (code %d):\n%.300s", code, body)
 			}
 		})
 		for _, tc := range cases {
-			t.Run(srv.label+"/"+tc.name, func(t *testing.T) {
-				code, body := getStatus(t, "http://"+srv.addr+tc.path)
+			t.Run(tc.name, func(t *testing.T) {
+				code, body := getStatus(t, base+tc.path)
 				if tc.wantParam == "" {
 					if code != http.StatusOK {
 						t.Fatalf("GET %s = %d, want 200: %s", tc.path, code, body)
@@ -119,12 +107,11 @@ func TestQueryParamValidation(t *testing.T) {
 				}
 			})
 		}
-	}
+	})
 }
 
 // TestBuildInfoOnMetrics: every registry carries the build_info gauge, so
-// both a worker's /metrics and the aggregator's own meta-metrics identify
-// the binary that produced them.
+// /metrics identifies the binary that produced it.
 func TestBuildInfoOnMetrics(t *testing.T) {
 	o := New(0)
 	srv, err := Serve("127.0.0.1:0", o)

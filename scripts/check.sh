@@ -30,7 +30,7 @@ lint_json="$(go run ./cmd/lint -json ./internal/analysis/...)"
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/parallel/... ./internal/frontier/... ./internal/sssp/... \
     ./internal/obs/... ./internal/flight/... ./internal/core/... \
-    ./internal/perf/... ./internal/incident/... ./internal/slo/...
+    ./internal/perf/... ./internal/incident/...
 
 echo "==> go test -race -cpu 1,2,4: advance filter contract, scan shortcut, serial rounds"
 # Out must be the ascending, duplicate-free set of lowered vertices at every
@@ -58,8 +58,7 @@ go test -run 'TestContinuousProfilerSimNeutral' -count=1 ./internal/perf/
 
 echo "==> flight-recorder gates: record/replay determinism + same-seed diff"
 flightbin="$(mktemp -d)"
-aggpid=""
-trap '[[ -n "$aggpid" ]] && kill "$aggpid" 2>/dev/null || true; rm -rf "$flightbin"' EXIT
+trap 'rm -rf "$flightbin"' EXIT
 go build -o "$flightbin/flight" ./cmd/flight
 
 # Replay determinism on both advance paths: a recorded log must re-execute
@@ -105,64 +104,6 @@ done
 "$flightbin/flight" replay -q "$bundle/flight.jsonl"
 grep -q '"schema": "energysssp-incident/v1"' "$bundle/manifest.json" \
     || { echo "incident manifest schema mismatch" >&2; exit 1; }
-
-echo "==> tsdb snapshot/restore round-trip gate"
-# Durable-series invariants: restored history is bit-identical, a restarted
-# aggregator resumes (not resets) its merged series, and every damaged
-# snapshot fails closed to a fresh store.
-go test -run 'TestSnapshotRoundTrip|TestAggregatorCheckpointResume|TestRestoreEdgeCases|TestExportIngestRoundTrip|TestExportCursorResume' \
-    -count=1 ./internal/obs/
-
-echo "==> fleet-telemetry smoke: two pushing workers -> one obsagg, SIGTERM-resume"
-# End-to-end over real processes and sockets: two sssp workers push NDJSON
-# telemetry into an aggregator, obswatch -fleet sees both instances fresh,
-# and a SIGTERM'd aggregator restarted on the same snapshot dir reports the
-# restored series.
-go build -o "$flightbin/obsagg" ./cmd/obsagg
-go build -o "$flightbin/obswatch" ./cmd/obswatch
-aggdir="$flightbin/aggstate"
-agglog="$flightbin/obsagg.log"
-aggpid=""
-"$flightbin/obsagg" -listen 127.0.0.1:0 -snapshot-dir "$aggdir" -checkpoint 1s >"$agglog" 2>&1 &
-aggpid=$!
-addr=""
-for _ in $(seq 100); do
-  addr="$(sed -n 's|.*fleet surface: http://\([^/]*\)/metrics.*|\1|p' "$agglog")"
-  [[ -n "$addr" ]] && break
-  sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "obsagg never announced its listen address" >&2; exit 1; }
-
-"$flightbin/sssp" -dataset cal -scale 0.01 -push-url "http://$addr/ingest" \
-    -instance w1 -push-period 200ms -series-period 50ms >/dev/null
-"$flightbin/sssp" -dataset cal -scale 0.005 -push-url "http://$addr/ingest" \
-    -instance w2 -push-period 200ms -series-period 50ms >/dev/null
-
-snap="$("$flightbin/obswatch" -addr "$addr" -fleet -once -match instance)"
-grep -q '^w1 ' <<<"$snap" || { echo "fleet snapshot missing instance w1:" >&2; echo "$snap" >&2; exit 1; }
-grep -q '^w2 ' <<<"$snap" || { echo "fleet snapshot missing instance w2:" >&2; echo "$snap" >&2; exit 1; }
-grep -q 'instance="w1"' <<<"$snap" || { echo "merged series lack instance labels:" >&2; echo "$snap" >&2; exit 1; }
-
-kill -TERM "$aggpid"
-wait "$aggpid" || { echo "obsagg did not shut down cleanly on SIGTERM" >&2; exit 1; }
-aggpid=""
-[[ -s "$aggdir/manifest.json" ]] || { echo "final checkpoint left no manifest in $aggdir" >&2; exit 1; }
-
-agglog2="$flightbin/obsagg2.log"
-"$flightbin/obsagg" -listen 127.0.0.1:0 -snapshot-dir "$aggdir" >"$agglog2" 2>&1 &
-aggpid=$!
-addr2=""
-for _ in $(seq 100); do
-  addr2="$(sed -n 's|.*fleet surface: http://\([^/]*\)/metrics.*|\1|p' "$agglog2")"
-  [[ -n "$addr2" ]] && break
-  sleep 0.1
-done
-[[ -n "$addr2" ]] || { echo "restarted obsagg never announced its listen address" >&2; exit 1; }
-snap2="$("$flightbin/obswatch" -addr "$addr2" -fleet -once)"
-grep -q 'restored' <<<"$snap2" || { echo "restarted obsagg did not restore the checkpoint:" >&2; echo "$snap2" >&2; exit 1; }
-kill -TERM "$aggpid"
-wait "$aggpid" || true
-aggpid=""
 
 echo "==> perfgate: committed trajectory parses and judges clean"
 # Always-on smoke: the committed snapshots + trajectory must load and the
