@@ -106,9 +106,10 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		policy = ctrl
 	}
 
-	far := frontier.NewPartitioned(cfg.InitialDelta)
+	far := kn.Partitioned(cfg.InitialDelta)
 	thr := float64(cfg.InitialDelta)
-	front := []graph.VID{src}
+	front, _ := kn.Buffers()
+	front = append(front, src)
 
 	// Flight recorder: seed the header before the first Observe so replay
 	// can reconstruct the identical initial controller. fpol is hoisted out
@@ -309,6 +310,7 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	}
 
 	obs.ClearPhaseLabel() // don't bleed the last phase into the caller's samples
+	kn.KeepBuffers(front, nil)
 	res.Dist = dist
 	res.WallTime = time.Since(start)
 	res.Reached = 0

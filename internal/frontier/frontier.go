@@ -40,6 +40,9 @@ type Flat struct {
 // Len reports the number of entries (including not-yet-detected stale ones).
 func (q *Flat) Len() int { return len(q.entries) }
 
+// Reset empties the queue, keeping its capacity for reuse.
+func (q *Flat) Reset() { q.entries = q.entries[:0] }
+
 // Push appends an entry recorded at distance d.
 func (q *Flat) Push(v graph.VID, d graph.Dist) {
 	if len(q.entries) == 0 || d < q.runMin {
@@ -90,11 +93,26 @@ func (q *Flat) MinDist(dist []graph.Dist) graph.Dist {
 	return q.runMin
 }
 
+// blockLen is the entry capacity of one far-queue block. With the block's
+// count and link, a block is exactly 16 KiB, one Go size class, so no
+// allocation rounds up.
+const blockLen = 1023
+
+// block is a fixed-size run of far-queue entries, chained per partition.
+// Every block of a chain but the last is full.
+type block struct {
+	e    [blockLen]Entry
+	n    int
+	next *block
+}
+
 // partition holds entries whose insertion distance fell in
-// (lower, upper], where lower is the previous partition's upper bound.
+// (lower, upper], where lower is the previous partition's upper bound,
+// in push order along a chain of blocks (head == nil iff n == 0).
 type partition struct {
-	upper   graph.Dist
-	entries []Entry
+	upper      graph.Dist
+	head, tail *block
+	n          int
 }
 
 // Partitioned is the paper's recursively partitioned far queue. Partitions
@@ -102,27 +120,65 @@ type partition struct {
 // Boundary updates only ever decrease a bound ("monotonic boundary
 // shifts"), and placement of *new* entries uses the current bounds, while
 // existing entries stay put — both exactly as Section 4.6 specifies.
+//
+// Entries live in fixed-size blocks drawn from the queue's own free list.
+// An extraction that empties a block returns it there, and Reset returns
+// every block, so a queue reused across solves allocates only when it
+// holds more blocks than ever before.
 type Partitioned struct {
 	parts []partition
 	size  int
 	// scanned accumulates pop-scan work for kernel accounting.
 	scanned int
+	free    *block // idle blocks, linked through next
 }
 
 // NewPartitioned builds the initial two-partition queue: upper bounds
 // firstUpper (the paper initializes this to the average edge weight) and
 // graph.Inf.
 func NewPartitioned(firstUpper graph.Dist) *Partitioned {
+	q := new(Partitioned)
+	q.Reset(firstUpper)
+	return q
+}
+
+// Reset empties the queue into its free list and restores the initial
+// two partitions with bounds firstUpper (clamped to [1, graph.Inf-1]) and
+// graph.Inf, keeping the blocks and partition table for reuse.
+func (q *Partitioned) Reset(firstUpper graph.Dist) {
 	if firstUpper < 1 {
 		firstUpper = 1
 	}
 	if firstUpper >= graph.Inf {
 		firstUpper = graph.Inf - 1
 	}
-	return &Partitioned{parts: []partition{
-		{upper: firstUpper},
-		{upper: graph.Inf},
-	}}
+	for i := range q.parts {
+		q.freeChain(q.parts[i].head)
+	}
+	q.parts = append(q.parts[:0], partition{upper: firstUpper}, partition{upper: graph.Inf})
+	q.size, q.scanned = 0, 0
+}
+
+// newBlock takes an empty block from the free list, allocating only when
+// the list is empty.
+func (q *Partitioned) newBlock() *block {
+	b := q.free
+	if b == nil {
+		return new(block)
+	}
+	q.free = b.next
+	b.n, b.next = 0, nil
+	return b
+}
+
+// freeChain returns the chain starting at b to the free list.
+func (q *Partitioned) freeChain(b *block) {
+	for b != nil {
+		next := b.next
+		b.next = q.free
+		q.free = b
+		b = next
+	}
 }
 
 // Len reports the number of stored entries (stale ones included until
@@ -136,7 +192,7 @@ func (q *Partitioned) NumPartitions() int { return len(q.parts) }
 func (q *Partitioned) Bound(i int) graph.Dist { return q.parts[i].upper }
 
 // PartSize returns the entry count of partition i.
-func (q *Partitioned) PartSize(i int) int { return len(q.parts[i].entries) }
+func (q *Partitioned) PartSize(i int) int { return q.parts[i].n }
 
 // lower returns the lower bound of partition i (the previous upper, or 0).
 func (q *Partitioned) lower(i int) graph.Dist {
@@ -147,7 +203,8 @@ func (q *Partitioned) lower(i int) graph.Dist {
 }
 
 // Push places v (at distance d) into the partition i with
-// lower(i) < d <= Bound(i), by binary search over the bounds.
+// lower(i) < d <= Bound(i), by binary search over the bounds, appending
+// it to the partition's tail block.
 func (q *Partitioned) Push(v graph.VID, d graph.Dist) {
 	lo, hi := 0, len(q.parts)-1
 	for lo < hi {
@@ -158,7 +215,20 @@ func (q *Partitioned) Push(v graph.VID, d graph.Dist) {
 			lo = mid + 1
 		}
 	}
-	q.parts[lo].entries = append(q.parts[lo].entries, Entry{V: v, D: d})
+	p := &q.parts[lo]
+	t := p.tail
+	if t == nil || t.n == blockLen {
+		b := q.newBlock()
+		if t == nil {
+			p.head = b
+		} else {
+			t.next = b
+		}
+		p.tail, t = b, b
+	}
+	t.e[t.n] = Entry{V: v, D: d}
+	t.n++
+	p.n++
 	q.size++
 }
 
@@ -192,7 +262,7 @@ func (q *Partitioned) SetBound(i int, b graph.Dist) error {
 // tail).
 func (q *Partitioned) CompactFront() {
 	i := 0
-	for i < len(q.parts)-1 && len(q.parts[i].entries) == 0 {
+	for i < len(q.parts)-1 && q.parts[i].n == 0 {
 		i++
 	}
 	if i > 0 {
@@ -203,29 +273,49 @@ func (q *Partitioned) CompactFront() {
 // PopBelow extracts every fresh vertex with current distance <= thr,
 // appending to out. Only partitions whose lower bound is below thr are
 // scanned — the pay-off of partitioning over the baseline's full scan.
-// Fresh entries above thr are retained in place; stale entries are dropped.
+// Fresh entries above thr are kept in their original order, compacted
+// toward the head of their chain; stale entries are dropped, and blocks
+// left empty go back to the free list.
 func (q *Partitioned) PopBelow(thr graph.Dist, dist []graph.Dist, out []graph.VID) []graph.VID {
 	for i := 0; i < len(q.parts); i++ {
 		if q.lower(i) >= thr {
 			break
 		}
-		part := &q.parts[i]
-		q.scanned += len(part.entries)
-		keep := part.entries[:0]
-		for _, e := range part.entries {
-			cur := dist[e.V]
-			if cur != e.D {
-				q.size--
-				continue
-			}
-			if cur <= thr {
-				out = append(out, e.V)
-				q.size--
-			} else {
-				keep = append(keep, e)
+		p := &q.parts[i]
+		q.scanned += p.n
+		// The write cursor (w, k) trails the read cursor, so kept
+		// entries overwrite only slots already read.
+		w, k, kept := p.head, 0, 0
+		for r := p.head; r != nil; r = r.next {
+			for _, e := range r.e[:r.n] {
+				cur := dist[e.V]
+				if cur != e.D {
+					continue // stale
+				}
+				if cur <= thr {
+					out = append(out, e.V)
+					continue
+				}
+				if k == blockLen {
+					w, k = w.next, 0
+				}
+				w.e[k] = e
+				k++
+				kept++
 			}
 		}
-		part.entries = keep
+		if kept > 0 {
+			// Every block before w is full; w holds k entries.
+			w.n = k
+			q.freeChain(w.next)
+			w.next = nil
+			p.tail = w
+		} else {
+			q.freeChain(p.head)
+			p.head, p.tail = nil, nil
+		}
+		q.size -= p.n - kept
+		p.n = kept
 	}
 	q.CompactFront()
 	return out
@@ -238,9 +328,11 @@ func (q *Partitioned) PopBelow(thr graph.Dist, dist []graph.Dist, out []graph.VI
 func (q *Partitioned) MinDist(dist []graph.Dist) graph.Dist {
 	for i := range q.parts {
 		min := graph.Inf
-		for _, e := range q.parts[i].entries {
-			if dist[e.V] == e.D && e.D < min {
-				min = e.D
+		for b := q.parts[i].head; b != nil; b = b.next {
+			for _, e := range b.e[:b.n] {
+				if dist[e.V] == e.D && e.D < min {
+					min = e.D
+				}
 			}
 		}
 		if min < graph.Inf {
@@ -264,9 +356,11 @@ func (q *Partitioned) ScannedAndReset() int {
 func (q *Partitioned) FreshLen(dist []graph.Dist) int {
 	n := 0
 	for i := range q.parts {
-		for _, e := range q.parts[i].entries {
-			if dist[e.V] == e.D {
-				n++
+		for b := q.parts[i].head; b != nil; b = b.next {
+			for _, e := range b.e[:b.n] {
+				if dist[e.V] == e.D {
+					n++
+				}
 			}
 		}
 	}

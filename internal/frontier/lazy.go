@@ -2,7 +2,6 @@ package frontier
 
 import (
 	"math"
-	"sync"
 
 	"energysssp/internal/graph"
 )
@@ -23,9 +22,9 @@ import (
 // i mod nslots. The ring window is [drained, drained+nslots); entries
 // beyond it wait in an unsorted overflow slab and are redistributed into
 // the ring when the window slides over them (amortized: an entry moves out
-// of overflow at most once). All slabs are reused across solves via an
-// internal sync.Pool (GetLazy/Release), so the steady state allocates
-// nothing — see TestLazyFarSteadyStateAllocs.
+// of overflow at most once). Reset keeps every slab's capacity, so a queue
+// reused across solves allocates nothing once warm — see
+// TestLazyFarSteadyStateAllocs.
 //
 // Contract: Push requires d strictly above the drained threshold
 // (Threshold()); this is exactly the near-far invariant that every far
@@ -56,23 +55,19 @@ const DefaultLazySlots = 1024
 
 const noBucket = int64(math.MaxInt64)
 
-var lazyPool = sync.Pool{New: func() any { return new(Lazy) }}
-
-// GetLazy returns a pooled queue with the given bucket width whose buckets
-// at or below startThr count as already drained (near-far starts its phase
-// threshold at delta, so buckets below it can never be pushed to). Pair
-// with Release; slab capacity survives in the pool across solves.
-func GetLazy(width, startThr graph.Dist) *Lazy {
-	q := lazyPool.Get().(*Lazy)
-	q.init(width, startThr)
+// NewLazy returns an empty queue with the given bucket width whose buckets
+// at or below startThr count as already drained (see Reset).
+func NewLazy(width, startThr graph.Dist) *Lazy {
+	q := new(Lazy)
+	q.Reset(width, startThr)
 	return q
 }
 
-// Release returns the queue (and its slab capacity) to the pool. The queue
-// must not be used afterwards.
-func (q *Lazy) Release() { lazyPool.Put(q) }
-
-func (q *Lazy) init(width, startThr graph.Dist) {
+// Reset empties the queue and sets its bucket width; buckets at or below
+// startThr count as already drained (near-far starts its phase threshold
+// at delta, so buckets below it can never be pushed to). Slab capacity is
+// kept for reuse.
+func (q *Lazy) Reset(width, startThr graph.Dist) {
 	if width < 1 {
 		width = 1
 	}

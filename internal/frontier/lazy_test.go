@@ -9,8 +9,7 @@ import (
 )
 
 func TestLazyBasic(t *testing.T) {
-	q := GetLazy(10, 0)
-	defer q.Release()
+	q := NewLazy(10, 0)
 	if q.Width() != 10 || q.Threshold() != 0 || q.Len() != 0 {
 		t.Fatalf("init: width=%d thr=%d len=%d", q.Width(), q.Threshold(), q.Len())
 	}
@@ -38,8 +37,7 @@ func TestLazyBasic(t *testing.T) {
 }
 
 func TestLazyDropsStale(t *testing.T) {
-	q := GetLazy(4, 0)
-	defer q.Release()
+	q := NewLazy(4, 0)
 	dist := []graph.Dist{10}
 	q.Push(0, 15) // stale: current dist is 10
 	out, _ := q.ExtractBelow(graph.Inf, dist, nil)
@@ -52,8 +50,7 @@ func TestLazyDropsStale(t *testing.T) {
 // entries met during the ordered bucket scan are dropped, so the first
 // fresh entry found is the true minimum.
 func TestLazyMinDistExact(t *testing.T) {
-	q := GetLazy(10, 0)
-	defer q.Release()
+	q := NewLazy(10, 0)
 	dist := []graph.Dist{1, 40, 22}
 	q.Push(0, 3) // stale: vertex 0 improved to 1
 	q.Push(1, 40)
@@ -77,8 +74,7 @@ func TestLazyMinDistExact(t *testing.T) {
 // Entries beyond the ring window wait in the overflow slab and are found by
 // MinDist and redistributed into the ring as the window slides over them.
 func TestLazyOverflow(t *testing.T) {
-	q := GetLazy(1, 0) // width 1: bucket index == distance-1
-	defer q.Release()
+	q := NewLazy(1, 0) // width 1: bucket index == distance-1
 	n := 3 * DefaultLazySlots
 	dist := make([]graph.Dist, n+1)
 	for v := 1; v <= n; v++ {
@@ -112,8 +108,7 @@ func TestLazyOverflow(t *testing.T) {
 // A threshold inside a bucket splits it: entries at or below come out,
 // fresh entries above are retained and extracted later.
 func TestLazyPartialBucket(t *testing.T) {
-	q := GetLazy(10, 0)
-	defer q.Release()
+	q := NewLazy(10, 0)
 	dist := []graph.Dist{12, 17, 19}
 	for v, d := range dist {
 		q.Push(graph.VID(v), d)
@@ -138,8 +133,7 @@ func TestLazyPartialBucket(t *testing.T) {
 // extracted distance is at or below it while every retained one is above —
 // the order-exactness that makes rho scheduling near-Dijkstra.
 func TestLazyExtractBatch(t *testing.T) {
-	q := GetLazy(10, 0)
-	defer q.Release()
+	q := NewLazy(10, 0)
 	n := 100
 	dist := make([]graph.Dist, n)
 	for v := 0; v < n; v++ {
@@ -173,11 +167,10 @@ func TestLazyExtractBatch(t *testing.T) {
 }
 
 func TestLazyStartThreshold(t *testing.T) {
-	// GetLazy(width, startThr) marks everything at or below startThr
+	// NewLazy(width, startThr) marks everything at or below startThr
 	// drained — the near-far invariant that far pushes sit above the
 	// current phase boundary.
-	q := GetLazy(8, 32)
-	defer q.Release()
+	q := NewLazy(8, 32)
 	if q.Threshold() != 32 {
 		t.Fatalf("start threshold = %d, want 32", q.Threshold())
 	}
@@ -190,15 +183,13 @@ func TestLazyStartThreshold(t *testing.T) {
 	}
 }
 
-// Pooled reuse: a released queue comes back empty with a fresh
-// configuration, regardless of what the previous solve left behind.
-func TestLazyPoolReuse(t *testing.T) {
-	q := GetLazy(10, 0)
+// Reuse: a reset queue comes back empty with a fresh configuration,
+// regardless of what the previous solve left behind.
+func TestLazyResetReuse(t *testing.T) {
+	q := NewLazy(10, 0)
 	q.Push(0, 5)
 	q.Push(1, 2000)
-	q.Release()
-	q = GetLazy(3, 9)
-	defer q.Release()
+	q.Reset(3, 9)
 	if q.Len() != 0 || q.Width() != 3 || q.Threshold() != 9 {
 		t.Fatalf("reused queue dirty: len=%d width=%d thr=%d", q.Len(), q.Width(), q.Threshold())
 	}
@@ -217,8 +208,7 @@ func TestLazyFlatEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, seed*5+3))
 		width := graph.Dist(widthRaw%64) + 1
 		var fq Flat
-		lq := GetLazy(width, 0)
-		defer lq.Release()
+		lq := NewLazy(width, 0)
 		n := 300
 		dist := make([]graph.Dist, n)
 		for v := 0; v < n; v++ {
@@ -266,8 +256,7 @@ func TestLazyBatchCompleteness(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, seed^991))
 		width := graph.Dist(widthRaw%200) + 1
 		minBatch := int(batchRaw)%64 + 1
-		q := GetLazy(width, 0)
-		defer q.Release()
+		q := NewLazy(width, 0)
 		n := 250
 		dist := make([]graph.Dist, n)
 		fresh := 0

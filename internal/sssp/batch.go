@@ -44,6 +44,11 @@ func BatchObserved(g *graph.Graph, sources []graph.VID, width int, o *obs.Observ
 		cSolves = o.Reg.Counter("sssp_batch_solves_total", "batch solves completed")
 		cErrs = o.Reg.Counter("sssp_batch_errors_total", "batch solves that returned an error")
 	}
+	// Each solve runs on one worker. Reserving one scratch per slot keeps
+	// the batch's concurrent solves on recycled memory at any GOMAXPROCS.
+	slots := min(width, len(sources))
+	reserveScratch(slots, g.NumVertices(), 1)
+	defer unreserveScratch(slots)
 	out := make([]BatchResult, len(sources))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, width)

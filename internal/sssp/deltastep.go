@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
 )
 
@@ -17,7 +16,7 @@ import (
 //
 // Options.FarQueue selects the bucket store. FarFlat keeps the textbook
 // ad-hoc bucket array; the default (FarAuto → FarLazy, and FarRho too)
-// stores vertices in the pooled lazy bucketed queue and applies bucket
+// stores vertices in the solve's lazy bucketed queue and applies bucket
 // fusion: consecutive small buckets are drained together into one
 // relaxation round (up to fuseBatchTarget vertices), collapsing the
 // per-bucket barriers that dominate sparse bucket tails. Fused rounds
@@ -148,11 +147,10 @@ func DeltaStepping(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options
 // queue, which never receives an entry below its drained boundary.
 func deltaStepFused(src graph.VID, delta graph.Dist, lightMax graph.Weight,
 	opt *Options, kn *Kernels, dist []graph.Dist, guard int, res *Result) error {
-	q := frontier.GetLazy(delta, 0)
-	defer q.Release()
+	q := kn.Lazy(delta, 0)
 	q.Push(src, 0)
 
-	var front, settled []graph.VID
+	front, settled := kn.Buffers()
 	for q.Len() > 0 {
 		front = front[:0]
 		var scanned int
@@ -204,5 +202,6 @@ func deltaStepFused(src graph.VID, delta graph.Dist, lightMax graph.Weight,
 			}
 		}
 	}
+	kn.KeepBuffers(front, settled)
 	return nil
 }

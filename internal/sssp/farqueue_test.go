@@ -154,17 +154,12 @@ func TestFarQueueConcurrentStress(t *testing.T) {
 }
 
 // TestLazyFarSteadyStateAllocs is the lazy far queue's allocation gate:
-// after one warm-up cycle seeds the slab pool, a full push → MinDist →
-// batch-extract → release cycle (overflow redistribution included) must
-// allocate nothing. And on whole solves, attaching obs + flight must add
-// zero allocations over the plain run — the same default-on observability
+// after one warm-up cycle grows the slabs, a full reset → push → MinDist →
+// batch-extract cycle (overflow redistribution included) must allocate
+// nothing. And on whole solves, attaching obs + flight must add zero
+// allocations over the plain run — the same default-on observability
 // invariant the advance kernels hold (TestObsSteadyStateAllocs).
 func TestLazyFarSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		// sync.Pool drops a random fraction of Puts under -race, so the
-		// pooled warm-up this gate relies on does not survive there.
-		t.Skip("allocation gate requires reliable sync.Pool retention; disabled under -race")
-	}
 	n := 4096
 	dist := make([]graph.Dist, n)
 	for v := range dist {
@@ -176,8 +171,9 @@ func TestLazyFarSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	out := make([]graph.VID, 0, n)
+	q := frontier.NewLazy(1, 0)
 	cycle := func() {
-		q := frontier.GetLazy(1, 0)
+		q.Reset(1, 0)
 		for v := 0; v < n; v++ {
 			q.Push(graph.VID(v), dist[v])
 		}
@@ -189,9 +185,8 @@ func TestLazyFarSteadyStateAllocs(t *testing.T) {
 		if len(o) != n {
 			t.Fatalf("cycle extracted %d of %d", len(o), n)
 		}
-		q.Release()
 	}
-	cycle() // warm the slab pool
+	cycle() // grow the slabs
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Errorf("lazy queue cycle allocates %.1f per run, want 0", allocs)
 	}

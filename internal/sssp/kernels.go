@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
 	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
@@ -82,8 +83,8 @@ const (
 // filter stage (bitmap deduplication after the join, in vertex order),
 // mirroring how Gunrock structures the same work on a GPU.
 // A Kernels value is bound to one (graph, distance array) pair for the
-// duration of a solve; call Release when the solve finishes to return the
-// pooled scratch.
+// duration of a solve; call Release when the solve finishes to hand its
+// scratch back to the idle list.
 type Kernels struct {
 	G    *graph.Graph
 	Pool *parallel.Pool
@@ -128,8 +129,8 @@ type Kernels struct {
 
 // NewKernels prepares the engine. dist must be the solver's live distance
 // array (len == NumVertices), already initialized. The scratch (bitmap,
-// buffers, prefix array, counters) comes from a process-wide pool; pair
-// every NewKernels with a Release.
+// buffers, prefix array, counters, far queues) comes from the process-wide
+// idle list; pair every NewKernels with a Release.
 func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []graph.Dist) *Kernels {
 	kn := &Kernels{
 		G:      g,
@@ -275,13 +276,53 @@ func (kn *Kernels) SimNow() time.Duration {
 // tracer is nil-safe, so drivers call Begin/Mark on it unconditionally.
 func (kn *Kernels) Trace() *obs.Tracer { return kn.tr }
 
-// Release returns the pooled scratch. The Kernels value and the Out slice
-// of its last AdvanceResult must not be used afterwards.
+// Release hands the solve's scratch back to the idle list. The Kernels
+// value, the Out slice of its last AdvanceResult, and every queue and
+// buffer it handed out must not be used afterwards.
 func (kn *Kernels) Release() {
 	if kn.sc != nil {
 		putScratch(kn.sc)
 		kn.sc = nil
 	}
+}
+
+// Buffers returns the solve's two vertex lists, empty: the frontier and a
+// second list (DeltaStepping's settled set). They keep the capacity earlier
+// solves grew them to; hand them back with KeepBuffers before Release so
+// this solve's growth is kept too.
+func (kn *Kernels) Buffers() (front, aux []graph.VID) {
+	return kn.sc.front[:0], kn.sc.aux[:0]
+}
+
+// KeepBuffers stores the (possibly regrown) lists from Buffers for the
+// next solve. A nil list leaves the stored one in place.
+func (kn *Kernels) KeepBuffers(front, aux []graph.VID) {
+	if front != nil {
+		kn.sc.front = front
+	}
+	if aux != nil {
+		kn.sc.aux = aux
+	}
+}
+
+// Partitioned returns the solve's partitioned far queue, reset to the two
+// partitions (0, firstUpper] and (firstUpper, graph.Inf].
+func (kn *Kernels) Partitioned(firstUpper graph.Dist) *frontier.Partitioned {
+	kn.sc.part.Reset(firstUpper)
+	return &kn.sc.part
+}
+
+// Lazy returns the solve's lazy bucketed far queue, reset to the given
+// bucket width with everything at or below startThr drained.
+func (kn *Kernels) Lazy(width, startThr graph.Dist) *frontier.Lazy {
+	kn.sc.lazy.Reset(width, startThr)
+	return &kn.sc.lazy
+}
+
+// Flat returns the solve's flat far queue, empty.
+func (kn *Kernels) Flat() *frontier.Flat {
+	kn.sc.flat.Reset()
+	return &kn.sc.flat
 }
 
 // AdvanceResult reports one advance+filter execution.

@@ -57,27 +57,27 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 	}
 	kn.Observe(sc)
 	defer kn.Release()
-	front := []graph.VID{src}
+	front, _ := kn.Buffers()
+	front = append(front, src)
 	thr := delta // the phase-(i+1) boundary (i starts at 0)
 
 	// Far-queue strategy selection. farLazy non-nil selects the bucketed
 	// queue (lazy or rho); otherwise the flat baseline queue runs.
 	kind := resolveFarQueue(opt.FarQueue, FarRho)
-	var farFlat frontier.Flat
+	var farFlat *frontier.Flat
 	var farLazy *frontier.Lazy
 	var width graph.Dist
 	var batch int
 	switch kind {
 	case FarLazy:
 		width = delta
-		farLazy = frontier.GetLazy(width, thr)
+		farLazy = kn.Lazy(width, thr)
 	case FarRho:
 		width = rhoWidth(delta)
 		batch = rhoBatch(pool.Size())
-		farLazy = frontier.GetLazy(width, thr)
-	}
-	if farLazy != nil {
-		defer farLazy.Release()
+		farLazy = kn.Lazy(width, thr)
+	default:
+		farFlat = kn.Flat()
 	}
 	sc.SetStrategy(kind.String())
 	farLen := func() int {
@@ -248,6 +248,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		spIter.End(int64(adv.X2))
 	}
 	obs.ClearPhaseLabel() // don't bleed the last phase into the caller's samples
+	kn.KeepBuffers(front, nil)
 	res.Dist = dist
 	finishResult(&res, opt, start, startSim, startJ)
 	return res, nil

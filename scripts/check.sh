@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-2 verification gate: static analysis plus race-detector runs on the
+# Tier-2 verification gate: gofmt, static analysis, and race-detector runs on the
 # concurrent packages. Tier-1 (go build && go test ./...) checks behavior;
 # this script checks the invariants behavior tests can miss — float equality
 # on controller state, wall-clock leaks into simulated kernels (direct or
@@ -12,6 +12,14 @@
 # Usage: scripts/check.sh            (from anywhere inside the repo)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+  echo "gofmt: these files need formatting:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -32,25 +40,29 @@ go test -race ./internal/parallel/... ./internal/frontier/... ./internal/sssp/..
     ./internal/obs/... ./internal/flight/... ./internal/core/... \
     ./internal/perf/... ./internal/incident/...
 
-echo "==> go test -race -cpu 1,2,4: advance filter contract, scan shortcut, serial rounds"
+echo "==> go test -race -cpu 1,2,4: advance filter contract, scan shortcut, serial rounds, scratch reuse"
 # Out must be the ascending, duplicate-free set of lowered vertices at every
 # worker count, and skipping the degree scan must not change the schedule.
 # The single-writer kernel must match the atomic one round for round, its
 # cutoff must hold at the boundary, and solves made of serial rounds must be
-# bit-identical at every pool size.
+# bit-identical at every pool size. Solve memory comes from an owned free
+# list, so the reuse and allocation gates hold here too: warmed batches
+# allocate no scratch, the lazy queue cycle allocates nothing, and a warmed
+# self-tuning solve allocates nothing beyond its distance array.
 go test -race -cpu 1,2,4 -count=1 \
-    -run 'TestAdvanceFilterContract|TestAdvanceScanShortcut|TestSerialKernelMatchesAtomic|TestSerialCutoffBoundary|TestWorkerCountDeterminism' \
+    -run 'TestAdvanceFilterContract|TestAdvanceScanShortcut|TestSerialKernelMatchesAtomic|TestSerialCutoffBoundary|TestWorkerCountDeterminism|TestBatchScratchReuse|TestLazyFarSteadyStateAllocs' \
     ./internal/sssp/
+go test -race -cpu 1,2,4 -count=1 -run 'TestSolveSteadyStateAllocs' ./internal/core/
 
 echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # Two racing solves must stay bit-identical to their sequential runs while
 # recording disjoint span trees and exact fleet-equals-sum-of-scopes metrics.
 go test -race -run 'TestConcurrentSolvesIsolated' -count=1 .
 
-echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, tsdb sampler, profiler labels)"
+echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, whole self-tuning solve, tsdb sampler, profiler labels)"
 go test -run 'TestAdvanceSteadyStateAllocs|TestObsSteadyStateAllocs|TestSpanSteadyStateAllocs|TestLazyFarSteadyStateAllocs' -count=1 ./internal/sssp/
 go test -run 'TestTracerSteadyStateAllocs|TestEnergyMeterSteadyStateAllocs|TestTSDBSampleSteadyStateAllocs|TestExemplarSteadyStateAllocs' -count=1 ./internal/obs/
-go test -run 'TestFlightSteadyStateAllocs' -count=1 ./internal/core/
+go test -run 'TestFlightSteadyStateAllocs|TestSolveSteadyStateAllocs' -count=1 ./internal/core/
 go test -run 'TestContinuousProfilerSolverPathAllocs' -count=1 ./internal/perf/
 
 echo "==> continuous-profiler sim-neutrality gate: bit-identical results with profiling on"
