@@ -624,7 +624,8 @@ func Experiments(cfg ExperimentConfig) ([]*Table, error) {
 }
 
 // ControllerOverhead measures the Section 5.2 controller overhead on the
-// given graph: wall-clock controller time relative to total solve time.
+// given graph: the host time spent in the controller's own calls, and the
+// total solve time.
 func ControllerOverhead(g *Graph, src VID, setPoint float64) (ctrl, total time.Duration, err error) {
 	_, ov, err := core.SolveInstrumented(g, src, core.Config{P: setPoint}, nil)
 	if err != nil {

@@ -18,8 +18,7 @@ import (
 //   - explicit conversion of a concrete value to an interface type boxes it.
 //     Pointer-shaped operands (pointers, channels, maps, funcs) are exempt:
 //     their interface representation is the word itself, so converting them
-//     never heap-allocates — this is what makes sync.Pool slab recycling
-//     (spanSlabPool.Put(slab), slab a *spanSlab) free on the hot path.
+//     never heap-allocates.
 //
 // Formatting and diagnostics belong at the solver level, outside the
 // kernels; counters (internal/obs) are the allocation-free way to get data

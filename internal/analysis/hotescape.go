@@ -25,12 +25,7 @@ import (
 //     Engine.Advance's e.bufs[w] = e.bufs[w][:0]);
 //   - the destination is banked back to persistent storage in the same
 //     function (buf := kn.sc.bufs[w]; ... append ...; kn.sc.bufs[w] = buf),
-//     so capacity survives across calls and growth reaches a steady state;
-//   - every appended element is drawn from a sync.Pool
-//     (t.slabs = append(t.slabs, spanSlabPool.Get().(*spanSlab)), the span
-//     tracer's slab-table idiom): the elements are recycled process-wide
-//     and the table itself is tiny and budget-bounded, so the growth is a
-//     pointer-append into an amortized list, not a per-iteration leak.
+//     so capacity survives across calls and growth reaches a steady state.
 //
 // A function literal created at loop depth >= 1 allocates a closure object
 // per iteration when it captures enclosing function variables and is not
@@ -104,10 +99,7 @@ func (r *HotEscape) scanRegion(p *Pass, body, escScope *ast.BlockStmt, ctx strin
 			if obj := referencedObj(p, dst); obj != nil && amortized[obj] {
 				return true
 			}
-			if allPoolSourced(p, n) {
-				return true // slab-table growth: elements recycle through a sync.Pool
-			}
-			flag(n.Pos(), "append to %s grows inside a loop in %s; pre-size with make(_, 0, n), reuse via a [:0] reslice, bank the buffer back to persistent storage, or draw elements from a sync.Pool", types.ExprString(n.Args[0]), ctx)
+			flag(n.Pos(), "append to %s grows inside a loop in %s; pre-size with make(_, 0, n), reuse via a [:0] reslice, or bank the buffer back to persistent storage", types.ExprString(n.Args[0]), ctx)
 		case *ast.FuncLit:
 			if n.Body == body || invoked[n] || cfg.LoopDepth(n.Pos()) < 1 {
 				return true
@@ -213,54 +205,6 @@ func enclosingDeclBody(f *ast.File, pos token.Pos) *ast.BlockStmt {
 		}
 	}
 	return nil
-}
-
-// allPoolSourced reports whether every appended element of the append call
-// is drawn from a sync.Pool — a (*sync.Pool).Get() result, optionally
-// through a type assertion — the pooled-slab idiom
-// (t.slabs = append(t.slabs, spanSlabPool.Get().(*spanSlab))). A spread
-// append (append(a, b...)) never qualifies.
-func allPoolSourced(p *Pass, call *ast.CallExpr) bool {
-	if len(call.Args) < 2 || call.Ellipsis.IsValid() {
-		return false
-	}
-	for _, arg := range call.Args[1:] {
-		if !isPoolGet(p, arg) {
-			return false
-		}
-	}
-	return true
-}
-
-// isPoolGet reports whether e is a (*sync.Pool).Get() call, optionally
-// wrapped in a type assertion.
-func isPoolGet(p *Pass, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if ta, ok := e.(*ast.TypeAssertExpr); ok {
-		e = ast.Unparen(ta.X)
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "Get" {
-		return false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Pool"
 }
 
 // isBuiltinAppend reports whether call invokes the append builtin.

@@ -82,44 +82,6 @@ func (e *eng) run(p *parallel.Pool, n int) {
 	expectLines(t, fs, 18)
 }
 
-// The span tracer grows its slab table by appending slabs drawn from a
-// process-wide sync.Pool (t.slabs = append(t.slabs, slabPool.Get().(*slab))):
-// the elements recycle, so the growth is amortized and must not be flagged
-// even inside a loop on the hot path. A plain append in the same loop, and a
-// spread append of a pool-typed slice, stay flagged.
-func TestHotEscapePooledSlabAllowed(t *testing.T) {
-	src := `package a
-
-import "sync"
-
-type slab struct{ ev [8]int64 }
-
-type tracer struct {
-	slabs []*slab
-	n     int
-}
-
-var slabPool sync.Pool
-
-//hot:alloc-free
-func (t *tracer) fill(spans int, extra []*slab) {
-	var ids []int
-	for i := 0; i < spans; i++ {
-		if t.n >= len(t.slabs)*8 {
-			t.slabs = append(t.slabs, slabPool.Get().(*slab)) // pooled: amortized
-		}
-		t.n++
-		ids = append(ids, t.n)                // line 22: plain growth still flagged
-		t.slabs = append(t.slabs, extra...)   // line 23: spread is not pool-sourced
-	}
-	_ = ids
-}
-`
-	p := singleFixture(t, src)
-	fs := runRule(t, &HotEscape{}, p)
-	expectLines(t, fs, 22, 23)
-}
-
 // The lazy far queue's Push appends to a pair of parallel SoA slabs (vertex
 // ids and recorded distances) selected by bucket index, banking both back to
 // the queue — the structure-of-arrays variant of the banked-buffer idiom.

@@ -50,3 +50,36 @@ func TestSolveInstrumentedErrors(t *testing.T) {
 		t.Fatal("missing set-point accepted")
 	}
 }
+
+// spinPolicy is the paper's Controller with a fixed host-time cost added to
+// every NextDelta, so the policy time of a run is known from below.
+type spinPolicy struct {
+	*Controller
+	spin time.Duration
+}
+
+func (p *spinPolicy) NextDelta(q QueueState) float64 {
+	for start := time.Now(); time.Since(start) < p.spin; {
+	}
+	return p.Controller.NextDelta(q)
+}
+
+// TestSolveInstrumentedMeasuresPolicy: ControllerTime is the host time the
+// run's own policy spent, so a policy that busy-waits in every NextDelta
+// must be reported at no less than iterations × that wait.
+func TestSolveInstrumentedMeasuresPolicy(t *testing.T) {
+	g := gen.Grid(10, 10, 1, 20, 46)
+	const spin = 50 * time.Microsecond
+	pol := &spinPolicy{Controller: NewController(100, 4, 1), spin: spin}
+	res, ov, err := SolveInstrumented(g, 0, Config{Policy: pol}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDistances(t, g, 0, res.Dist, "spinning policy")
+	if floor := time.Duration(res.Iterations) * spin; ov.ControllerTime < floor {
+		t.Fatalf("controller time %v over %d iterations, want >= %v", ov.ControllerTime, res.Iterations, floor)
+	}
+	if ov.ControllerTime > ov.TotalTime {
+		t.Fatalf("controller time %v exceeds total %v", ov.ControllerTime, ov.TotalTime)
+	}
+}

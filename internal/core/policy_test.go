@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"energysssp/internal/dvfs"
+	"energysssp/internal/flight"
 	"energysssp/internal/frontier"
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
@@ -189,4 +190,31 @@ func TestBoundaryMaintainerInterface(t *testing.T) {
 	}
 	q := frontier.NewPartitioned(10)
 	p.(boundaryMaintainer).MaintainBoundaries(q, 1)
+}
+
+// TestPowerCapProfileCarriesModels: a power-capped solve runs the paper's
+// Controller under a set-point wrapper, so its profile rows carry the same
+// d̂ and α̂ as its flight records, never zeros.
+func TestPowerCapProfileCarriesModels(t *testing.T) {
+	g := gen.CalLike(0.01, 13)
+	mach := sim.NewMachine(sim.TK1())
+	prof := &metrics.Profile{}
+	rec := flight.NewRecorder(0)
+	if _, _, err := SolveWithPowerCap(g, 0, PowerCapConfig{CapWatts: 3.8},
+		&sssp.Options{Machine: mach, Profile: prof, Flight: rec}); err != nil {
+		t.Fatal(err)
+	}
+	recs := rec.Log().Records
+	if len(recs) == 0 || len(recs) != prof.Len() {
+		t.Fatalf("%d flight records, %d profile rows", len(recs), prof.Len())
+	}
+	for i, it := range prof.Iters {
+		if it.DHat <= 0 || it.AlphaHat <= 0 {
+			t.Fatalf("iteration %d: profile d̂=%g α̂=%g, want the controller's estimates", i, it.DHat, it.AlphaHat)
+		}
+		if math.Float64bits(it.DHat) != math.Float64bits(recs[i].D) ||
+			math.Float64bits(it.AlphaHat) != math.Float64bits(recs[i].Alpha) {
+			t.Fatalf("iteration %d: profile d̂=%g α̂=%g, flight d=%g α=%g", i, it.DHat, it.AlphaHat, recs[i].D, recs[i].Alpha)
+		}
+	}
 }

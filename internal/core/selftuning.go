@@ -8,7 +8,6 @@ import (
 	"energysssp/internal/flight"
 	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
-	"energysssp/internal/metrics"
 	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 	"energysssp/internal/sssp"
@@ -58,14 +57,62 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 // schedule, never the relaxation semantics); the profile in opt, when
 // present, records the controlled parallelism trace.
 func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.Result, error) {
+	res, _, err := solve(g, src, cfg, opt, false)
+	return res, err
+}
+
+// ControllerOverhead reports the wall-clock controller cost of a run, for
+// the Section 5.2 overhead experiment.
+type ControllerOverhead struct {
+	// ControllerTime is the host time spent inside the run's policy calls
+	// (Observe, NextDelta, SetApplied, MaintainBoundaries).
+	ControllerTime time.Duration
+	// TotalTime is the host time of the whole solve.
+	TotalTime time.Duration
+}
+
+// SolveInstrumented is Solve plus the measured controller overhead.
+func SolveInstrumented(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.Result, ControllerOverhead, error) {
+	start := time.Now()
+	res, ctrl, err := solve(g, src, cfg, opt, true)
+	total := time.Since(start)
+	if err != nil {
+		return res, ControllerOverhead{}, err
+	}
+	return res, ControllerOverhead{ControllerTime: ctrl, TotalTime: total}, nil
+}
+
+// stopwatch accumulates host time over start/stop pairs when on; off, it
+// never reads the clock.
+type stopwatch struct {
+	on    bool
+	t     time.Time
+	total time.Duration
+}
+
+func (w *stopwatch) start() {
+	if w.on {
+		w.t = time.Now()
+	}
+}
+
+func (w *stopwatch) stop() {
+	if w.on {
+		w.total += time.Since(w.t)
+	}
+}
+
+// solve is Solve; with timed set it also returns the host time spent in
+// the policy's calls.
+func solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options, timed bool) (sssp.Result, time.Duration, error) {
 	if opt == nil {
 		opt = &sssp.Options{}
 	}
 	if cfg.P < 1 && cfg.Policy == nil {
-		return sssp.Result{}, fmt.Errorf("core: set-point P must be >= 1, got %g", cfg.P)
+		return sssp.Result{}, 0, fmt.Errorf("core: set-point P must be >= 1, got %g", cfg.P)
 	}
 	if src < 0 || int(src) >= g.NumVertices() {
-		return sssp.Result{}, fmt.Errorf("%w: %d not in [0,%d)", sssp.ErrSource, src, g.NumVertices())
+		return sssp.Result{}, 0, fmt.Errorf("%w: %d not in [0,%d)", sssp.ErrSource, src, g.NumVertices())
 	}
 	cfg = cfg.withDefaults(g)
 
@@ -96,7 +143,7 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	sc.SetStrategy("partitioned")
 	sc.Live().SetSetPoint(int64(cfg.P))
 	tr := kn.Trace() // nil-safe when no observer is attached
-	hlth := newHealth(sc, cfg.P)
+	sink := kn.IterSink(opt, sc, cfg.P)
 
 	policy := cfg.Policy
 	if policy == nil {
@@ -105,6 +152,16 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		ctrl.BootstrapIters = cfg.BootstrapIters
 		policy = ctrl
 	}
+	// Hoisted out of the loop so the steady state performs no type
+	// assertions.
+	var fpol flightRecording
+	if fp, ok := policy.(flightRecording); ok {
+		fpol = fp
+	}
+	bm, _ := policy.(boundaryMaintainer)
+	if cfg.DisablePartitioning {
+		bm = nil
+	}
 
 	far := kn.Partitioned(cfg.InitialDelta)
 	thr := float64(cfg.InitialDelta)
@@ -112,14 +169,8 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	front = append(front, src)
 
 	// Flight recorder: seed the header before the first Observe so replay
-	// can reconstruct the identical initial controller. fpol is hoisted out
-	// of the loop so the steady state performs no type assertions.
-	frec := opt.Flight
-	var fpol flightRecording
-	if fp, ok := policy.(flightRecording); ok {
-		fpol = fp
-	}
-	if frec != nil {
+	// can reconstruct the identical initial controller.
+	if frec := opt.Flight; frec != nil {
 		fh := flight.Header{
 			Algorithm:    "policy",
 			Vertices:     int64(g.NumVertices()),
@@ -136,16 +187,14 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	var fr flight.Record
 
 	var res sssp.Result
-	guard := optMaxIters(opt, g)
-	var lastSim time.Duration
-	var lastJ float64
-	var ctrlWall time.Duration
+	guard := opt.IterGuard(g)
+	ctrlWall := stopwatch{on: timed}
 	spSolve := tr.BeginSolve()
 	defer func() { spSolve.End(int64(res.Iterations)) }()
 
 	for len(front) > 0 {
 		if res.Iterations++; res.Iterations > guard {
-			return res, sssp.ErrLivelock
+			return res, ctrlWall.total, sssp.ErrLivelock
 		}
 		spIter := tr.BeginIter(res.Iterations - 1)
 		x1 := len(front)
@@ -173,36 +222,20 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		// Controller step (host side).
 		obs.ApplyPhaseLabel(obs.PhaseController)
 		spC := tr.Begin(obs.PhaseController)
-		ctrlStart := time.Now()
-		policy.Observe(x1, adv.X2)
 		q := QueueState{X4: x4, Delta: thr, FarLen: far.Len()}
 		if pb, ps, ok := firstNonEmptyPartition(far); ok {
 			q.PartBound, q.PartSize = pb, ps
 		}
+		ctrlWall.start()
+		policy.Observe(x1, adv.X2)
 		rawThr := policy.NextDelta(q)
+		ctrlWall.stop()
 		newThr := rawThr
 		if newThr < 1 {
 			newThr = 1 // defend against hostile policies
 		}
 		if newThr > float64(graph.Inf) {
 			newThr = float64(graph.Inf)
-		}
-		if frec != nil {
-			// Snapshot the decision inputs and the post-decision model
-			// state now, before SetApplied advances the BISECT-MODEL —
-			// replay re-executes the same Observe → NextDelta prefix and
-			// compares against exactly this checkpoint.
-			fr = flight.Record{
-				K:  int64(res.Iterations - 1),
-				X1: int64(x1), X2: int64(adv.X2), X3: int64(len(adv.Out)), X4: int64(x4),
-				FarLen: int64(q.FarLen), PartBound: int64(q.PartBound), PartSize: int64(q.PartSize),
-				DeltaIn: thr, RawDelta: rawThr,
-				JumpMin:      -1,
-				EdgeBalanced: adv.EdgeBalanced,
-			}
-			if fpol != nil {
-				fpol.flightModels(&fr)
-			}
 		}
 
 		// Rebalancer: realize the new threshold by moving vertices
@@ -229,9 +262,10 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		// If the frontier drained, jump to the next populated region —
 		// the analogue of the baseline's phase advance. The jump is part
 		// of the applied Δδ so the BISECT-MODEL sees the true change.
+		jumpMin := int64(-1)
 		if len(front) == 0 && far.Len() > 0 {
 			minD := far.MinDist(dist)
-			fr.JumpMin = int64(minD)
+			jumpMin = int64(minD)
 			if minD < graph.Inf {
 				if float64(minD) > thr {
 					appliedDelta += float64(minD) - thr
@@ -244,11 +278,12 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 			}
 		}
 		obs.ApplyPhaseLabel(obs.PhaseController)
+		ctrlWall.start()
 		policy.SetApplied(appliedDelta, float64(x4))
-		if bm, ok := policy.(boundaryMaintainer); ok && !cfg.DisablePartitioning {
+		if bm != nil {
 			bm.MaintainBoundaries(far, thr)
 		}
-		ctrlWall += time.Since(ctrlStart)
+		ctrlWall.stop()
 		scanned := far.ScannedAndReset()
 		simQ := kn.SimNow()
 		durQ := kn.ChargeFarQueue(scanned)
@@ -257,39 +292,21 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		kn.ChargeHost(cfg.ControllerCost)
 		spC.EndSim(int64(adv.X2), simH, kn.SimNow()-simH)
 
-		if c, ok := policy.(*Controller); ok {
-			hlth.observe(res.Iterations-1, adv.X2, c)
-		} else {
-			hlth.observe(res.Iterations-1, adv.X2, nil)
-		}
-
-		if opt.Profile != nil {
-			st := metrics.IterStat{
-				K: res.Iterations - 1, X1: x1, X2: adv.X2, X3: len(adv.Out), X4: x4,
-				Delta: thr, FarSize: far.Len(), Edges: adv.Edges,
+		if sink != nil {
+			// The decision inputs (q, the threshold entering it, the raw
+			// NextDelta output) and the model state after Observe and
+			// NextDelta — SetApplied moves no estimate — are exactly the
+			// checkpoint replay re-executes and compares against.
+			fr = flight.Record{
+				K:  int64(res.Iterations - 1),
+				X1: int64(x1), X2: int64(adv.X2), X3: int64(len(adv.Out)), X4: int64(x4),
+				FarLen: int64(q.FarLen), PartBound: int64(q.PartBound), PartSize: int64(q.PartSize),
+				FarSize:  int64(far.Len()),
+				NumParts: int64(far.NumPartitions()),
+				DeltaIn:  q.Delta, RawDelta: rawThr, DeltaOut: thr, AppliedDelta: appliedDelta,
+				JumpMin:      jumpMin,
 				EdgeBalanced: adv.EdgeBalanced,
 			}
-			if c, ok := policy.(*Controller); ok {
-				st.DHat = c.D()
-				st.AlphaHat = c.Alpha()
-			}
-			if opt.Machine != nil {
-				st.SimTime = opt.Machine.Now() - startSim
-				st.EnergyJ = opt.Machine.Energy() - startJ
-				dt := st.SimTime - lastSim
-				if dt > 0 {
-					st.AvgWatts = (st.EnergyJ - lastJ) / dt.Seconds()
-				}
-				lastSim, lastJ = st.SimTime, st.EnergyJ
-			}
-			opt.Profile.Append(st)
-		}
-
-		if frec != nil {
-			fr.DeltaOut = thr
-			fr.AppliedDelta = appliedDelta
-			fr.FarSize = int64(far.Len())
-			fr.NumParts = int64(far.NumPartitions())
 			nb := 0
 			for i := 0; i < far.NumPartitions() && nb < flight.MaxBounds; i++ {
 				if b := far.Bound(i); b < graph.Inf {
@@ -297,70 +314,19 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 					nb++
 				}
 			}
-			if opt.Machine != nil {
-				fr.SimTimeNs = int64(opt.Machine.Now() - startSim)
-				fr.EnergyJ = opt.Machine.Energy() - startJ
+			if fpol != nil {
+				fpol.flightModels(&fr)
 			}
-			frec.Append(&fr)
+			sink.Emit(&fr, adv.Edges)
 		}
-
-		sc.Live().Iteration(int64(res.Iterations-1), int64(x1), int64(far.Len()),
-			int64(adv.X2), thr, int64(kn.SimNow()-startSim))
 		spIter.End(int64(adv.X2))
 	}
 
 	obs.ClearPhaseLabel() // don't bleed the last phase into the caller's samples
 	kn.KeepBuffers(front, nil)
 	res.Dist = dist
-	res.WallTime = time.Since(start)
-	res.Reached = 0
-	for _, d := range dist {
-		if d < graph.Inf {
-			res.Reached++
-		}
-	}
-	if opt.Machine != nil {
-		res.SimTime = opt.Machine.Now() - startSim
-		res.EnergyJ = opt.Machine.Energy() - startJ
-		if res.SimTime > 0 {
-			res.AvgPowerW = res.EnergyJ / res.SimTime.Seconds()
-		}
-	}
-	_ = ctrlWall // exposed via SolveInstrumented
-	return res, nil
-}
-
-// ControllerOverhead reports the wall-clock controller cost of a run, for
-// the Section 5.2 overhead experiment.
-type ControllerOverhead struct {
-	ControllerTime time.Duration
-	TotalTime      time.Duration
-}
-
-// SolveInstrumented is Solve plus the measured controller overhead.
-func SolveInstrumented(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.Result, ControllerOverhead, error) {
-	// Run Solve with a wrapper that captures ctrlWall via a closure is
-	// more invasive than re-measuring: the controller cost is measured
-	// directly here with the same code path.
-	start := time.Now()
-	res, err := Solve(g, src, cfg, opt)
-	total := time.Since(start)
-	if err != nil {
-		return res, ControllerOverhead{}, err
-	}
-	// Controller work is O(1) per iteration; measure it by replaying the
-	// controller against the recorded profile when available, otherwise
-	// estimate from iteration count.
-	ov := ControllerOverhead{TotalTime: total}
-	iters := res.Iterations
-	ctrl := NewController(cfg.P, 8, 1)
-	replayStart := time.Now()
-	for k := 0; k < iters; k++ {
-		ctrl.Observe(k%1000+1, (k%1000+1)*8)
-		_ = ctrl.NextDelta(QueueState{X4: k % 1000, Delta: float64(k%4096 + 1), PartBound: graph.Dist(k%8192 + 2048), PartSize: k % 512})
-	}
-	ov.ControllerTime = time.Since(replayStart)
-	return res, ov, nil
+	sssp.FinishResult(&res, opt, start, startSim, startJ)
+	return res, ctrlWall.total, nil
 }
 
 func distOf(x float64) graph.Dist {
@@ -380,11 +346,4 @@ func firstNonEmptyPartition(q *frontier.Partitioned) (graph.Dist, int, bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-func optMaxIters(opt *sssp.Options, g *graph.Graph) int {
-	if opt.MaxIters > 0 {
-		return opt.MaxIters
-	}
-	return 64*(g.NumVertices()+int(g.NumEdges())) + 1_000_000
 }

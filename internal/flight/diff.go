@@ -1,6 +1,10 @@
 package flight
 
-import "math"
+import (
+	"math"
+
+	"energysssp/internal/metrics"
+)
 
 // diffFields enumerates the per-record scalar fields run-diff compares.
 // Comparison is on exact bits (math.Float64bits), not epsilon closeness:
@@ -90,8 +94,9 @@ func DiffLogs(a, b *Log) *DiffReport {
 		FirstDivergence: -1,
 	}
 	d.Compared = min(d.LenA, d.LenB)
-	d.TrackErrA = meanTrackingError(a)
-	d.TrackErrB = meanTrackingError(b)
+	ha, hb := healthOf(a), healthOf(b)
+	_, d.TrackErrA = ha.TrackingError()
+	_, d.TrackErrB = hb.TrackingError()
 
 	type fieldState struct {
 		firstK int
@@ -137,22 +142,14 @@ func DiffLogs(a, b *Log) *DiffReport {
 	return d
 }
 
-// meanTrackingError computes the mean |X²−P|/P over the log, the same
-// formula as metrics.Profile.TrackingError, using each record's own P so
-// power-capped runs are scored against the set-point in effect at the time.
-func meanTrackingError(l *Log) float64 {
-	var sum float64
-	n := 0
+// healthOf folds the log's records through metrics.HealthFold, scoring
+// each record against its own P so power-capped runs are judged by the
+// set-point in effect at the time.
+func healthOf(l *Log) metrics.HealthFold {
+	var h metrics.HealthFold
 	for i := range l.Records {
 		rec := &l.Records[i]
-		if rec.SetPoint <= 0 {
-			continue
-		}
-		sum += math.Abs(float64(rec.X2)-rec.SetPoint) / rec.SetPoint
-		n++
+		h.Add(int(rec.K), int(rec.X2), rec.SetPoint, rec.D, rec.Alpha)
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return h
 }

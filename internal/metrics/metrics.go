@@ -94,43 +94,83 @@ func (p *Profile) TotalEdges() int64 {
 // both moved less than 1% between consecutive iterations.
 const ModelConvergenceRelTol = 0.01
 
-// TrackingError returns the controller's set-point tracking error
-// |X² − P| / P for the last iteration and its mean over the profile. The
-// live controller-health gauges in internal/core compute the identical
-// quantity incrementally, so a final scrape can be checked against the
-// recorded profile exactly.
-func (p *Profile) TrackingError(setPoint float64) (last, mean float64) {
-	if len(p.Iters) == 0 || setPoint <= 0 {
+// HealthFold is the one owner of the two controller-health rules, folded
+// one iteration at a time: the set-point tracking error |X² − P| / P, and
+// the model convergence iteration — the first K at which both d̂ and α̂
+// moved less than ModelConvergenceRelTol relative to the previous
+// iteration. The live controller-health gauges, Profile.TrackingError and
+// ConvergenceIter, and the flight log's diff and dashboard all fold the
+// same way, so a final /metrics scrape, a recorded profile and a flight
+// log of one solve agree bit for bit. The zero value is an empty fold;
+// Add allocates nothing.
+type HealthFold struct {
+	errSum, lastErr float64
+	n               int
+	prevD, prevA    float64
+	haveModels      bool
+	converged       bool
+	convK           int
+}
+
+// Add folds iteration k with available parallelism x2, set-point p and
+// model estimates d and alpha. A non-positive p (no set-point in effect)
+// leaves the tracking error untouched; a non-positive d or alpha (no
+// models, as in near-far) leaves the convergence rule untouched.
+func (h *HealthFold) Add(k, x2 int, p, d, alpha float64) {
+	if p > 0 {
+		h.lastErr = math.Abs(float64(x2)-p) / p
+		h.errSum += h.lastErr
+		h.n++
+	}
+	if d <= 0 || alpha <= 0 {
+		return
+	}
+	if !h.converged && h.haveModels &&
+		math.Abs(d-h.prevD) <= ModelConvergenceRelTol*h.prevD &&
+		math.Abs(alpha-h.prevA) <= ModelConvergenceRelTol*h.prevA {
+		h.converged, h.convK = true, k
+	}
+	h.prevD, h.prevA, h.haveModels = d, alpha, true
+}
+
+// TrackingError returns the last folded iteration's tracking error and the
+// mean over every iteration that had a set-point (0, 0 when none did).
+func (h *HealthFold) TrackingError() (last, mean float64) {
+	if h.n == 0 {
 		return 0, 0
 	}
-	var sum float64
-	for _, it := range p.Iters {
-		e := math.Abs(float64(it.X2)-setPoint) / setPoint
-		sum += e
-		last = e
+	return h.lastErr, h.errSum / float64(h.n)
+}
+
+// ConvergenceIter returns the iteration at which the model estimates first
+// converged, or -1 if they have not (or no iteration carried models).
+func (h *HealthFold) ConvergenceIter() int {
+	if !h.converged {
+		return -1
 	}
-	return last, sum / float64(len(p.Iters))
+	return h.convK
+}
+
+// TrackingError returns the controller's set-point tracking error
+// |X² − P| / P for the last iteration and its mean over the profile, by
+// the HealthFold rule.
+func (p *Profile) TrackingError(setPoint float64) (last, mean float64) {
+	var h HealthFold
+	for _, it := range p.Iters {
+		h.Add(it.K, it.X2, setPoint, 0, 0)
+	}
+	return h.TrackingError()
 }
 
 // ConvergenceIter returns the iteration index K at which the controller's
-// model estimates first converged — both DHat and AlphaHat moved less than
-// ModelConvergenceRelTol relative to the previous iteration — or -1 if they
+// model estimates first converged by the HealthFold rule, or -1 if they
 // never did (or the profile carries no model estimates).
 func (p *Profile) ConvergenceIter() int {
-	var prevD, prevA float64
-	have := false
+	var h HealthFold
 	for _, it := range p.Iters {
-		if it.DHat <= 0 || it.AlphaHat <= 0 {
-			continue
-		}
-		if have &&
-			math.Abs(it.DHat-prevD) <= ModelConvergenceRelTol*prevD &&
-			math.Abs(it.AlphaHat-prevA) <= ModelConvergenceRelTol*prevA {
-			return it.K
-		}
-		prevD, prevA, have = it.DHat, it.AlphaHat, true
+		h.Add(it.K, it.X2, 0, it.DHat, it.AlphaHat)
 	}
-	return -1
+	return h.ConvergenceIter()
 }
 
 // Summary holds distribution statistics of a series.

@@ -1,6 +1,6 @@
 // Package obs is a stdlib-only runtime observability plane for the solver:
 // a hierarchical span tracer (solve → iteration → phase → kernel) backed by
-// pooled fixed-size span slabs, an atomic metric registry with a Prometheus
+// recycled fixed-size span slabs, an atomic metric registry with a Prometheus
 // text exporter, per-solve scopes that aggregate into a fleet-level parent,
 // an energy-attribution meter folding the simulated machine's charges into
 // per-phase joule counters, a live NDJSON event stream, an HTTP server, and
@@ -15,7 +15,7 @@
 //     advance paths).
 //   - Zero allocations in steady state. Every span, counter increment, and
 //     histogram observation after setup is atomic arithmetic plus writes
-//     into preallocated (or pool-recycled slab) storage, so the PR 2
+//     into preallocated (or recycled slab) storage, so the
 //     "0 allocs/op per advance" guarantee survives with observability
 //     enabled (gated by TestObsSteadyStateAllocs and
 //     TestSpanSteadyStateAllocs).
@@ -143,10 +143,9 @@ type phaseAgg struct {
 	_      [4]int64
 }
 
-// Span slab geometry: spans are stored in fixed-size slabs drawn from a
-// process-wide sync.Pool, so a tracer's steady state allocates nothing (a
-// slab crossing reuses a pooled slab; only a cold pool pays one slab
-// allocation) and a released tracer returns its memory for the next solve.
+// Span slab geometry: spans are stored in fixed-size slabs, so a tracer's
+// steady state allocates nothing (a slab crossing takes one slab; only an
+// empty free list pays one slab allocation).
 const (
 	spanSlabShift = 11
 	spanSlabSize  = 1 << spanSlabShift // 2048 spans ≈ 112 KiB per slab
@@ -155,15 +154,51 @@ const (
 
 type spanSlab [spanSlabSize]SpanEvent
 
-var spanSlabPool = sync.Pool{New: func() any { return new(spanSlab) }}
+// slabList is an owned free list of span slabs. An Observer holds one for
+// all its scopes: a tracer takes slabs from it as it grows and Release
+// hands them back, so a long-running process recycles span memory from
+// solve to solve. It keeps at most max slabs; Release drops a surplus for
+// the GC. A nil *slabList allocates every slab and keeps none.
+type slabList struct {
+	mu   sync.Mutex
+	free []*spanSlab
+	max  int
+}
+
+func (l *slabList) get() *spanSlab {
+	if l != nil {
+		l.mu.Lock()
+		if n := len(l.free); n > 0 {
+			s := l.free[n-1]
+			l.free[n-1] = nil
+			l.free = l.free[:n-1]
+			l.mu.Unlock()
+			return s
+		}
+		l.mu.Unlock()
+	}
+	return new(spanSlab)
+}
+
+func (l *slabList) put(slabs []*spanSlab) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	if room := l.max - len(l.free); room < len(slabs) {
+		slabs = slabs[:max(room, 0)]
+	}
+	l.free = append(l.free, slabs...)
+	l.mu.Unlock()
+}
 
 // DefaultTraceEvents is the span budget used when NewTracer is given a
 // non-positive capacity: 64Ki spans (32 slabs), enough for ~5k solver
 // iterations with all phases and kernel charges instrumented.
 const DefaultTraceEvents = 1 << 16
 
-// Tracer records hierarchical spans into pooled fixed-size slabs acquired
-// lazily up to a budget fixed at construction. When the budget is
+// Tracer records hierarchical spans into fixed-size slabs acquired lazily,
+// from its observer's free list, up to a budget fixed at construction. When the budget is
 // exhausted new spans are dropped (Dropped counts them) — unlike the old
 // flat ring it never overwrites: the solve/iteration skeleton at the front
 // of the trace is what gives every retained span its ancestry. Per-phase
@@ -177,6 +212,7 @@ type Tracer struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	slabs   []*spanSlab // acquired lazily; cap fixed at construction
+	free    *slabList   // where slabs come from and return to (nil: the GC)
 	n       int         // spans recorded
 	max     int         // span budget
 	dropped uint64
@@ -193,8 +229,14 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer holding up to capacity spans
-// (DefaultTraceEvents if capacity <= 0), rounded up to a whole slab.
+// (DefaultTraceEvents if capacity <= 0), rounded up to a whole slab. Its
+// slabs are allocated fresh and left to the GC on Release; an Observer's
+// scopes draw theirs from the observer's free list instead.
 func NewTracer(capacity int) *Tracer {
+	return newTracer(capacity, nil)
+}
+
+func newTracer(capacity int, free *slabList) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceEvents
 	}
@@ -202,6 +244,7 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{
 		epoch:     time.Now(),
 		slabs:     make([]*spanSlab, 0, nslabs),
+		free:      free,
 		max:       nslabs * spanSlabSize,
 		openSolve: -1, openIter: -1, openPhase: -1, curIter: -1,
 	}
@@ -209,9 +252,9 @@ func NewTracer(capacity int) *Tracer {
 
 // reserve claims the next span slot and stamps its identity; the caller
 // holds t.mu. It returns -1 when the budget is exhausted (the span is
-// dropped and counted). Growing into a new slab appends a pooled slab into
-// the capacity-preallocated slab list, so the steady state allocates
-// nothing once the process pool is warm.
+// dropped and counted). Growing into a new slab appends one from the free
+// list into the capacity-preallocated slab table, so the steady state
+// allocates nothing.
 //
 //hot:alloc-free
 func (t *Tracer) reserve(kind SpanKind, p Phase, parent int32, start time.Duration) int32 {
@@ -220,7 +263,7 @@ func (t *Tracer) reserve(kind SpanKind, p Phase, parent int32, start time.Durati
 		return -1
 	}
 	if t.n>>spanSlabShift >= len(t.slabs) {
-		t.slabs = append(t.slabs, spanSlabPool.Get().(*spanSlab))
+		t.slabs = append(t.slabs, t.free.get())
 	}
 	id := int32(t.n)
 	t.n++
@@ -490,18 +533,16 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// Release returns the tracer's slabs to the process-wide pool and empties
-// it. The recorded spans become invalid; called when a retired scope is
-// evicted from the observer's history ring.
+// Release returns the tracer's slabs to its free list and empties it. The
+// recorded spans become invalid; called when a retired scope is evicted
+// from the observer's history ring.
 func (t *Tracer) Release() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	for i, s := range t.slabs {
-		spanSlabPool.Put(s)
-		t.slabs[i] = nil
-	}
+	t.free.put(t.slabs)
+	clear(t.slabs)
 	t.slabs = t.slabs[:0]
 	t.n = 0
 	t.openSolve, t.openIter, t.openPhase, t.curIter = -1, -1, -1, -1

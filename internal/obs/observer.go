@@ -196,6 +196,10 @@ type Observer struct {
 
 	stratMu sync.Mutex
 	stratJ  map[string]float64 // closed-scope joules by strategy
+
+	// slabs recycles span slabs between scopes: evicting a retired scope
+	// returns its slabs here and new scopes' tracers draw from it.
+	slabs slabList
 }
 
 // New returns an Observer whose scopes each get a span budget of
@@ -213,6 +217,8 @@ func New(traceEvents int) *Observer {
 		traceEvents: traceEvents,
 		stratJ:      make(map[string]float64),
 	}
+	// Keep at most one full scope's span budget idle.
+	o.slabs.max = (traceEvents + spanSlabSize - 1) / spanSlabSize
 	o.energy = NewEnergyMeter(nil)
 	RegisterRuntimeMetrics(o.Reg)
 	RegisterBuildInfo(o.Reg)
@@ -247,7 +253,7 @@ func (o *Observer) NewScope(name string) *Scope {
 	s := &Scope{
 		name:   name,
 		parent: o,
-		tracer: NewTracer(o.traceEvents),
+		tracer: newTracer(o.traceEvents, &o.slabs),
 		reg:    NewScopedRegistry(o.Reg, `solve="`+name+`"`),
 		energy: NewEnergyMeter(o.energy),
 		opened: time.Now(),

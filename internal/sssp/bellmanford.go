@@ -36,7 +36,7 @@ func BellmanFord(g *graph.Graph, src graph.VID, opt *Options) (Result, error) {
 	defer kn.Release()
 	front := []graph.VID{src}
 	var res Result
-	guard := opt.maxIters(g)
+	guard := opt.IterGuard(g)
 	tr := kn.Trace()
 	spSolve := tr.BeginSolve()
 	defer func() { spSolve.End(int64(res.Iterations)) }()
@@ -54,6 +54,6 @@ func BellmanFord(g *graph.Graph, src graph.VID, opt *Options) (Result, error) {
 		spIter.End(int64(adv.X2))
 	}
 	res.Dist = dist
-	finishResult(&res, opt, start, startSim, startJ)
+	FinishResult(&res, opt, start, startSim, startJ)
 	return res, nil
 }

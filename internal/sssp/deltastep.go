@@ -59,7 +59,7 @@ func DeltaStepping(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options
 	}
 
 	var res Result
-	guard := opt.maxIters(g)
+	guard := opt.IterGuard(g)
 	spSolve := kn.Trace().BeginSolve()
 	defer func() { spSolve.End(int64(res.Iterations)) }()
 	fused := resolveFarQueue(opt.FarQueue, FarLazy) != FarFlat
@@ -73,7 +73,7 @@ func DeltaStepping(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options
 			return res, err
 		}
 		res.Dist = dist
-		finishResult(&res, opt, start, startSim, startJ)
+		FinishResult(&res, opt, start, startSim, startJ)
 		return res, nil
 	}
 
@@ -134,7 +134,7 @@ func DeltaStepping(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options
 		}
 	}
 	res.Dist = dist
-	finishResult(&res, opt, start, startSim, startJ)
+	FinishResult(&res, opt, start, startSim, startJ)
 	return res, nil
 }
 

@@ -47,7 +47,7 @@ func Dijkstra(g *graph.Graph, src graph.VID, opt *Options) (Result, error) {
 		}
 	}
 	res.Dist = dist
-	finishResult(&res, opt, start, startSim, startJ)
+	FinishResult(&res, opt, start, startSim, startJ)
 	return res, nil
 }
 

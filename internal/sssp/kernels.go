@@ -113,6 +113,7 @@ type Kernels struct {
 	obsUpdates  *obs.Counter
 	obsEdgeBal  *obs.Counter
 	obsX2       *obs.Histogram
+	sink        IterSink // the per-iteration views; see IterSink
 
 	// Per-call state published to the prebuilt worker closures. The
 	// closures are constructed once in NewKernels and passed by value to

@@ -7,7 +7,6 @@ import (
 	"energysssp/internal/flight"
 	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
-	"energysssp/internal/metrics"
 	"energysssp/internal/obs"
 )
 
@@ -87,8 +86,8 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		return farFlat.Len()
 	}
 
-	frec := opt.Flight
-	if frec != nil {
+	sink := kn.IterSink(opt, sc, 0)
+	if frec := opt.Flight; frec != nil {
 		frec.SetHeader(flight.Header{
 			Algorithm:  "nearfar",
 			Vertices:   int64(g.NumVertices()),
@@ -102,9 +101,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 	var fr flight.Record
 
 	var res Result
-	guard := opt.maxIters(g)
-	var lastSim time.Duration
-	var lastJ float64
+	guard := opt.IterGuard(g)
 	tr := kn.Trace()
 	spSolve := tr.BeginSolve()
 	defer func() { spSolve.End(int64(res.Iterations)) }()
@@ -136,20 +133,10 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		spB.EndSim(int64(len(adv.Out)), simB, durB)
 		x4 := len(near)
 		front = near
-
-		if frec != nil {
-			// Snapshot the phase decision's inputs (X⁴ and the far-queue
-			// length are exactly what the stage-4 condition reads) so the
-			// fixed-delta threshold schedule can be replayed from the log.
-			fr = flight.Record{
-				K:  int64(res.Iterations - 1),
-				X1: int64(x1), X2: int64(adv.X2), X3: int64(len(adv.Out)), X4: int64(x4),
-				FarLen:       int64(farLen()),
-				DeltaIn:      float64(thr),
-				JumpMin:      -1,
-				EdgeBalanced: adv.EdgeBalanced,
-			}
-		}
+		// The phase decision's inputs: X⁴ and the far-queue length are
+		// exactly what the stage-4 condition reads, so the record lets
+		// replay recompute the fixed-delta threshold schedule.
+		thrIn, farIn, jumpMin := thr, farLen(), int64(-1)
 
 		// Stage 4: when the near frontier drains, advance the phase
 		// threshold and extract far-queue work.
@@ -183,7 +170,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 					} else {
 						minD = farFlat.MinDist(dist)
 					}
-					fr.JumpMin = int64(minD)
+					jumpMin = int64(minD)
 					extract := func(t graph.Dist) (int, []graph.VID) {
 						if farLazy != nil {
 							out, s := farLazy.ExtractBelow(t, dist, front)
@@ -213,43 +200,23 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 			spQ.EndSim(int64(scanned), simQ, durQ)
 		}
 
-		if opt.Profile != nil {
-			st := metrics.IterStat{
-				K: res.Iterations - 1, X1: x1, X2: adv.X2, X3: len(adv.Out), X4: x4,
-				Delta: float64(thr), FarSize: farLen(), Edges: adv.Edges,
+		if sink != nil {
+			fr = flight.Record{
+				K:  int64(res.Iterations - 1),
+				X1: int64(x1), X2: int64(adv.X2), X3: int64(len(adv.Out)), X4: int64(x4),
+				FarLen: int64(farIn), FarSize: int64(farLen()),
+				DeltaIn: float64(thrIn), RawDelta: float64(thr), DeltaOut: float64(thr),
+				AppliedDelta: float64(thr) - float64(thrIn),
+				JumpMin:      jumpMin,
 				EdgeBalanced: adv.EdgeBalanced,
 			}
-			if opt.Machine != nil {
-				st.SimTime = opt.Machine.Now() - startSim
-				st.EnergyJ = opt.Machine.Energy() - startJ
-				dt := st.SimTime - lastSim
-				if dt > 0 {
-					st.AvgWatts = (st.EnergyJ - lastJ) / dt.Seconds()
-				}
-				lastSim, lastJ = st.SimTime, st.EnergyJ
-			}
-			opt.Profile.Append(st)
+			sink.Emit(&fr, adv.Edges)
 		}
-
-		if frec != nil {
-			fr.RawDelta = float64(thr)
-			fr.DeltaOut = float64(thr)
-			fr.AppliedDelta = float64(thr) - fr.DeltaIn
-			fr.FarSize = int64(farLen())
-			if opt.Machine != nil {
-				fr.SimTimeNs = int64(opt.Machine.Now() - startSim)
-				fr.EnergyJ = opt.Machine.Energy() - startJ
-			}
-			frec.Append(&fr)
-		}
-
-		sc.Live().Iteration(int64(res.Iterations-1), int64(x1), int64(farLen()),
-			int64(adv.X2), float64(thr), int64(kn.SimNow()-startSim))
 		spIter.End(int64(adv.X2))
 	}
 	obs.ClearPhaseLabel() // don't bleed the last phase into the caller's samples
 	kn.KeepBuffers(front, nil)
 	res.Dist = dist
-	finishResult(&res, opt, start, startSim, startJ)
+	FinishResult(&res, opt, start, startSim, startJ)
 	return res, nil
 }

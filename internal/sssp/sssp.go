@@ -100,15 +100,16 @@ func (o *Options) AcquireScope(alg string) (*obs.Scope, bool) {
 	return o.Obs.NewScope(alg), true
 }
 
-func (o *Options) maxIters(g *graph.Graph) int {
+// IterGuard is the livelock guard on a solve's iteration count: MaxIters
+// when set, else a generous multiple of the graph size.
+func (o *Options) IterGuard(g *graph.Graph) int {
 	if o.MaxIters > 0 {
 		return o.MaxIters
 	}
 	// Every iteration with a non-empty frontier performs at least one
 	// relaxation or retires at least one queued entry, so a generous
 	// multiple of n+m can only trip on a real livelock bug.
-	guard := 64*(g.NumVertices()+int(g.NumEdges())) + 1_000_000
-	return guard
+	return 64*(g.NumVertices()+int(g.NumEdges())) + 1_000_000
 }
 
 // Result reports the outcome of one SSSP run.
@@ -168,8 +169,10 @@ func countReached(dist []graph.Dist) int {
 	return n
 }
 
-// finishResult fills the timing/energy fields from the machine (if any).
-func finishResult(r *Result, opt *Options, start time.Time, startSim time.Duration, startJ float64) {
+// FinishResult fills r's wall time, reached count and, when a machine is
+// attached, its simulated time, energy and average power since
+// (startSim, startJ).
+func FinishResult(r *Result, opt *Options, start time.Time, startSim time.Duration, startJ float64) {
 	r.WallTime = time.Since(start)
 	r.Reached = countReached(r.Dist)
 	if opt.Machine != nil {

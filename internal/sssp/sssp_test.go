@@ -347,11 +347,11 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal("default pool should be sequential")
 	}
 	g := line(10)
-	if o.maxIters(g) <= g.NumVertices() {
+	if o.IterGuard(g) <= g.NumVertices() {
 		t.Fatal("default guard too small")
 	}
 	o.MaxIters = 7
-	if o.maxIters(g) != 7 {
+	if o.IterGuard(g) != 7 {
 		t.Fatal("MaxIters override ignored")
 	}
 }

@@ -40,7 +40,7 @@ go test -race ./internal/parallel/... ./internal/frontier/... ./internal/sssp/..
     ./internal/obs/... ./internal/flight/... ./internal/core/... \
     ./internal/perf/... ./internal/incident/...
 
-echo "==> go test -race -cpu 1,2,4: advance filter contract, scan shortcut, serial rounds, scratch reuse"
+echo "==> go test -race -cpu 1,2,4: advance filter contract, scan shortcut, serial rounds, scratch reuse, iteration views, detectors, spans"
 # Out must be the ascending, duplicate-free set of lowered vertices at every
 # worker count, and skipping the degree scan must not change the schedule.
 # The single-writer kernel must match the atomic one round for round, its
@@ -53,6 +53,14 @@ go test -race -cpu 1,2,4 -count=1 \
     -run 'TestAdvanceFilterContract|TestAdvanceScanShortcut|TestSerialKernelMatchesAtomic|TestSerialCutoffBoundary|TestWorkerCountDeterminism|TestBatchScratchReuse|TestLazyFarSteadyStateAllocs' \
     ./internal/sssp/
 go test -race -cpu 1,2,4 -count=1 -run 'TestSolveSteadyStateAllocs' ./internal/core/
+# Every per-iteration view derives from one record, so the profile and
+# flight outputs of fixed solves are pinned at every GOMAXPROCS; the
+# detector state machine must match its reference scanners on the fuzz
+# seeds; and span slabs come from the observer's own free list, so the
+# span gate holds by construction here too.
+go test -race -cpu 1,2,4 -count=1 -run 'TestIterationViewsGolden' .
+go test -race -cpu 1,2,4 -count=1 -run 'FuzzDetect' ./internal/flight/
+go test -race -cpu 1,2,4 -count=1 -run 'TestSpanSteadyStateAllocs' ./internal/sssp/
 
 echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # Two racing solves must stay bit-identical to their sequential runs while
