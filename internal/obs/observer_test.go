@@ -100,12 +100,21 @@ func TestScopeChaining(t *testing.T) {
 func TestObserverPhaseTotalsSurviveEviction(t *testing.T) {
 	o := New(32)
 	total := retiredScopes + 5
+	slabs := map[*spanSlab]bool{}
 	for i := 0; i < total; i++ {
 		sc := o.NewScope("s")
 		sp := sc.Tracer().Begin(PhaseAdvance)
 		sp.EndSim(10, 0, time.Millisecond)
+		slabs[sc.Tracer().slabs[0]] = true
 		sc.Close()
 		sc.Close() // idempotent
+	}
+	// Each eviction hands its one slab back to the observer's free list and
+	// the next scope takes it: the retired ring plus one slab in flight
+	// cover every scope, and the list keeps at most one scope's budget.
+	if len(slabs) != retiredScopes+1 || len(o.slabs.free) != 1 {
+		t.Fatalf("%d distinct slabs over %d scopes, %d idle; want %d and 1",
+			len(slabs), total, len(o.slabs.free), retiredScopes+1)
 	}
 	tot := o.PhaseTotals(PhaseAdvance)
 	if tot.Count != int64(total) || tot.Items != int64(10*total) {
